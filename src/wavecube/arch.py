@@ -208,18 +208,25 @@ class Network:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Replace every parameter and buffer; the state must name each one
+        with its exact shape.  Nothing is loaded unless all of it fits."""
         own = dict(self.named_parameters())
         bufs = dict(self.named_buffers())
+        unknown = sorted(set(state) - own.keys() - bufs.keys())
+        if unknown:
+            raise KeyError(f"unknown state entries {unknown}")
+        missing = sorted((own.keys() | bufs.keys()) - set(state))
+        if missing:
+            raise KeyError(f"state is missing entries {missing}")
+        for path, arr in state.items():
+            have = own[path].data.shape if path in own else bufs[path].shape
+            if np.shape(arr) != have:
+                raise ValueError(f"shape mismatch for '{path}': {have} vs {np.shape(arr)}")
         for path, arr in state.items():
             if path in own:
-                if own[path].data.shape != arr.shape:
-                    raise ValueError(f"shape mismatch for '{path}': "
-                                     f"{own[path].data.shape} vs {arr.shape}")
                 own[path].data = arr.astype(own[path].data.dtype, copy=True)
-            elif path in bufs:
-                bufs[path][...] = arr
             else:
-                raise KeyError(f"unknown state entry '{path}'")
+                bufs[path][...] = arr
 
     # -- forward -----------------------------------------------------------
     def forward(self, x, training: bool = False) -> Tensor:
@@ -254,8 +261,7 @@ class Network:
             else:  # DI, DIDn
                 h, highs = F.dwt_layer(h, self.bank)
                 if kind == "DIDn":
-                    highs = {t: F.hard_shrink_layer(v, self.spec.shrink_threshold)
-                             for t, v in highs.items()}
+                    highs = F.hard_shrink_layer(highs, self.spec.shrink_threshold)
                 branches.append(highs)
 
         h = self.bottom2.forward(self.bottom1.forward(h, training), training)

@@ -120,9 +120,9 @@ def _pr_residual(bank: FilterBank, n: int = 32, seed: int = 7) -> float:
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
-    lo, hi = _analyze_1d(x[None, :], bank.lo_dec, bank.hi_dec)
-    rec = _synthesize_1d(lo, hi, bank.lo_rec, bank.hi_rec)
-    return float(np.max(np.abs(rec[0] - x)))
+    lo, hi = _analyze_1d(x, bank.lo_dec, bank.hi_dec, -1)
+    rec = _synthesize_1d(lo, hi, bank.lo_rec, bank.hi_rec, -1)
+    return float(np.max(np.abs(rec - x)))
 
 
 def validate_bank(bank: FilterBank, tol: float = 1e-10) -> ValidationReport:

@@ -1,19 +1,31 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Operations executed inside a `with GradientTape():` block append one record
-per op (a Wengert list).  `backward(tape, loss)` walks the list once, in
-reverse, calling each op's adjoint closure.  Creation order is already a
-topological order, so no graph search is needed.  Outside a tape, ops run
-in inference mode and record nothing.
+Operations executed inside a `with GradientTape():` block, in the thread
+that opened it, append one record per op (a Wengert list).
+`backward(tape, loss)` walks the list once, in reverse, calling each op's
+adjoint closure.  Creation order is already a topological order, so no
+graph search is needed.  Outside a tape, ops run in inference mode and
+record nothing.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from ..errors import TapeConsumedError
 
-_TAPE_STACK: list["GradientTape"] = []
+
+class _TapeStack(threading.local):
+    """The tapes open in the current thread, innermost last.  Per thread, so
+    that an op run in one thread never records onto another thread's tape."""
+
+    def __init__(self):
+        self.tapes: list[GradientTape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class Tensor:
@@ -65,11 +77,11 @@ class GradientTape:
         self.consumed = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
         return False
 
@@ -83,7 +95,8 @@ class GradientTape:
 
 
 def active_tape() -> GradientTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def wants_grad(t) -> bool:

@@ -13,11 +13,9 @@ from itertools import product
 import numpy as np
 
 from ..errors import ChannelMismatchError, OddExtentError, ShapeMismatchError
-from ..filters import SUBBAND_TAGS, FilterBank
+from ..filters import FilterBank
 from ..transform import _forward3, _inverse3
 from .autograd import Tensor, as_tensor, record, wants_grad
-
-HIGH_TAGS = SUBBAND_TAGS[1:]
 
 
 def _check_5d(x: Tensor, name: str = "input") -> None:
@@ -388,49 +386,51 @@ def interpolate2(x) -> Tensor:
 # wavelet layers
 # ---------------------------------------------------------------------------
 
-def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, dict[str, Tensor]]:
-    """Per-channel 3D DWT; returns (low, {tag: high}) at half resolution.
+def _stack_subbands(low: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """(B, C, ...) low and (7*B, C, ...) highs -> the (8, B, C, ...) core layout."""
+    return np.concatenate([low[None], highs.reshape((-1,) + low.shape)])
 
-    Backward is the exact adjoint: synthesis with the decomposition
-    filters (equal to the inverse for orthogonal banks)."""
+
+def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
+    """Per-channel 3D DWT at half resolution; returns (low, highs).
+
+    `low` is the lll subband, (B, C, z, y, x); `highs` stacks the seven
+    high-frequency subbands, llh..hhh, subband-major along the batch axis:
+    (7*B, C, z, y, x).  Backward is the exact adjoint: synthesis with the
+    decomposition filters (equal to the inverse for orthogonal banks)."""
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "dwt_layer")
-    parts = _forward3(x.data, bank.lo_dec, bank.hi_dec)
-    low = Tensor(parts["lll"])
-    highs = {t: Tensor(parts[t]) for t in HIGH_TAGS}
-    outputs = (low,) + tuple(highs[t] for t in HIGH_TAGS)
+    s = _forward3(x.data, bank.lo_dec, bank.hi_dec)
+    low = Tensor(s[0])
+    highs = Tensor(s[1:].reshape((-1,) + s.shape[2:]))
 
     def adjoint(grads):
         if wants_grad(x):
-            gsub = {"lll": grads[0]}
-            gsub.update({t: grads[i + 1] for i, t in enumerate(HIGH_TAGS)})
-            x._accumulate(_inverse3(gsub, bank.lo_dec, bank.hi_dec))
+            x._accumulate(_inverse3(_stack_subbands(*grads), bank.lo_dec, bank.hi_dec))
 
-    record(outputs, adjoint)
+    record((low, highs), adjoint)
     return low, highs
 
 
-def idwt_layer(low, highs: dict[str, Tensor], bank: FilterBank) -> Tensor:
-    """Per-channel 3D IDWT from (low, highs); doubles spatial extents.
-
-    Backward is analysis with the reconstruction filters."""
-    low = as_tensor(low)
+def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
+    """Per-channel 3D IDWT from `dwt_layer`'s (low, highs); doubles spatial
+    extents.  Backward is analysis with the reconstruction filters."""
+    low, highs = as_tensor(low), as_tensor(highs)
     _check_5d(low, "idwt low")
-    ordered = [low] + [as_tensor(highs[t]) for t in HIGH_TAGS]
-    shapes = {t.data.shape for t in ordered}
-    if len(shapes) != 1:
-        raise ShapeMismatchError(f"idwt_layer subband shapes differ: {sorted(shapes)}")
-    sub = {"lll": low.data}
-    sub.update({t: ordered[i + 1].data for i, t in enumerate(HIGH_TAGS)})
-    result = Tensor(_inverse3(sub, bank.lo_rec, bank.hi_rec))
+    expect = (7 * low.data.shape[0],) + low.data.shape[1:]
+    if highs.data.shape != expect:
+        raise ShapeMismatchError(
+            f"idwt_layer highs must be {expect} for low {low.data.shape}, "
+            f"got {highs.data.shape}")
+    result = Tensor(_inverse3(_stack_subbands(low.data, highs.data), bank.lo_rec, bank.hi_rec))
 
     def adjoint(grads):
         gsub = _forward3(grads[0], bank.lo_rec, bank.hi_rec)
-        for i, tag in enumerate(SUBBAND_TAGS):
-            t = ordered[i]
-            if wants_grad(t):
-                t._accumulate(gsub[tag])
+        if wants_grad(low):
+            low._accumulate(gsub[0])
+        if wants_grad(highs):
+            highs._accumulate(gsub[1:].reshape(expect))
 
     record(result, adjoint)
     return result

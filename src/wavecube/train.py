@@ -37,8 +37,6 @@ class TrainConfig:
 class TrainState:
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
-    rng_state: dict | None = None
-    best_miou: float = -1.0
 
 
 def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
@@ -218,7 +216,6 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
 
     try:
         for epoch in range(1, cfg.epochs + 1):
-            state.rng_state = rng.bit_generator.state
             order = rng.permutation(n_train)
             losses = []
             for start in range(0, n_train, cfg.batch_size):
@@ -248,7 +245,6 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
                 bg = fg = mean = float("nan")
             stats = EpochStats(epoch, float(np.mean(losses)), losses, bg, fg, mean)
             history.append(stats)
-            state.best_miou = max(state.best_miou, mean if mean == mean else -1.0)
             if metrics_fh is not None:
                 metrics_fh.write(
                     f"{epoch}\t{state.iteration}\t\t{stats.mean_loss:.6g}\t"

@@ -16,16 +16,16 @@ filters (and vice versa), which the network layers rely on for backprop.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError
 from .filters import SUBBAND_TAGS, FilterBank
 from .validation import as_volume, check_even_extents
 
-HIGH_TAGS = SUBBAND_TAGS[1:]  # llh..hhh
+_TAG_INDEX = {t: i for i, t in enumerate(SUBBAND_TAGS)}
 
 
 @dataclass(frozen=True)
@@ -41,119 +41,108 @@ class ShrinkConfig:
 
 @dataclass
 class SubbandSet:
-    """The eight half-resolution components of one 3D DWT level."""
+    """The eight half-resolution components of one 3D DWT level.
 
-    arrays: dict[str, np.ndarray]
+    `coeffs` is one (8, z, y, x) array ordered like SUBBAND_TAGS (lll..hhh);
+    a tag -> array mapping is stacked into that layout on construction.
+    """
+
+    coeffs: np.ndarray
     wavelet: str
 
     def __post_init__(self):
-        missing = [t for t in SUBBAND_TAGS if t not in self.arrays]
-        if missing:
-            raise ShapeMismatchError(f"subband set missing tags {missing}")
-        shapes = {self.arrays[t].shape for t in SUBBAND_TAGS}
-        if len(shapes) != 1:
-            raise ShapeMismatchError(f"subbands differ in shape: {sorted(shapes)}")
+        if isinstance(self.coeffs, Mapping):
+            missing = [t for t in SUBBAND_TAGS if t not in self.coeffs]
+            if missing:
+                raise ShapeMismatchError(f"subband set missing tags {missing}")
+            shapes = {np.shape(self.coeffs[t]) for t in SUBBAND_TAGS}
+            if len(shapes) != 1:
+                raise ShapeMismatchError(f"subbands differ in shape: {sorted(shapes)}")
+            self.coeffs = np.stack([self.coeffs[t] for t in SUBBAND_TAGS])
+        if self.coeffs.ndim != 4 or self.coeffs.shape[0] != len(SUBBAND_TAGS):
+            raise ShapeMismatchError(
+                f"subband set must be one (8, z, y, x) array, got {self.coeffs.shape}")
 
     def __getitem__(self, tag: str) -> np.ndarray:
-        return self.arrays[tag]
+        return self.coeffs[_TAG_INDEX[tag]]
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return self.arrays["lll"].shape
-
-    def map(self, fn) -> "SubbandSet":
-        return SubbandSet({t: fn(t, a) for t, a in self.arrays.items()}, self.wavelet)
+        return self.coeffs.shape[1:]
 
 
 # ---------------------------------------------------------------------------
-# 1D primitives (operate on the last axis, any number of leading axes)
+# 1D primitives: polyphase form along one (negative) axis
 # ---------------------------------------------------------------------------
 
-def _analyze_1d(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Periodic correlate-and-downsample along the last axis."""
-    n = x.shape[-1]
-    L = len(lo)
-    taps = np.stack([lo, hi]).astype(x.dtype, copy=False)  # (2, L)
-    # wrap enough tail for windows starting at n-2 reaching n-2+L-1
-    reps = [x]
-    need = L - 1
-    while need > 0:
-        take = min(need, n)
-        reps.append(x[..., :take])
-        need -= take
-    xp = np.concatenate(reps, axis=-1)
-    win = sliding_window_view(xp, L, axis=-1)[..., 0 : n - 1 : 2, :]  # (..., n//2, L)
-    out = win @ taps.T  # (..., n//2, 2)
-    return out[..., 0], out[..., 1]
+def _phase(axis: int, start: int) -> tuple:
+    """Index selecting every second entry along `axis`, from `start`."""
+    return (Ellipsis, slice(start, None, 2)) + (slice(None),) * (-1 - axis)
+
+
+def _roll(a: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """np.roll without its copy for k = 0 (the only shift haar needs)."""
+    return np.roll(a, k, axis) if k else a
+
+
+def _accumulate(out: np.ndarray, terms) -> None:
+    """out += sum of coefficient * array, skipping zero coefficients."""
+    for c, a in terms:
+        if c:
+            out += c * a
+
+
+def _analyze_1d(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int):
+    """Periodic correlate-and-downsample along `axis`:
+    a[i] = sum_k f[2k] * x[2(i+k)] + f[2k+1] * x[2(i+k)+1]."""
+    even, odd = x[_phase(axis, 0)], x[_phase(axis, 1)]
+    lo_sub = np.zeros(even.shape, dtype=x.dtype)
+    hi_sub = np.zeros(even.shape, dtype=x.dtype)
+    for k in range(len(lo) // 2):
+        e, o = _roll(even, -k, axis), _roll(odd, -k, axis)
+        for sub, f in ((lo_sub, lo), (hi_sub, hi)):
+            _accumulate(sub, ((f[2 * k], e), (f[2 * k + 1], o)))
+    return lo_sub, hi_sub
 
 
 def _synthesize_1d(lo_sub: np.ndarray, hi_sub: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Zero-upsample and periodically convolve along the last axis."""
-    m = lo_sub.shape[-1]
-    dtype = lo_sub.dtype
-    out = np.zeros(lo_sub.shape[:-1] + (2 * m,), dtype=dtype)
-    even = out[..., 0::2]
-    odd = out[..., 1::2]
-    # even output indices receive even filter taps, odd indices the odd taps
+                   lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
+    """Zero-upsample and periodically convolve along `axis`:
+    x[2i+p] = sum_k lo[2k+p] * a[i-k] + hi[2k+p] * d[i-k], p in {0, 1}."""
+    shape = list(lo_sub.shape)
+    shape[axis] *= 2
+    out = np.zeros(shape, dtype=lo_sub.dtype)
     for k in range(len(lo) // 2):
-        la, lb = lo[2 * k], lo[2 * k + 1]
-        ha, hb = hi[2 * k], hi[2 * k + 1]
-        ls = np.roll(lo_sub, k, axis=-1)
-        hs = np.roll(hi_sub, k, axis=-1)
-        if la:
-            even += dtype.type(la) * ls
-        if ha:
-            even += dtype.type(ha) * hs
-        if lb:
-            odd += dtype.type(lb) * ls
-        if hb:
-            odd += dtype.type(hb) * hs
+        a, d = _roll(lo_sub, k, axis), _roll(hi_sub, k, axis)
+        for p in (0, 1):
+            _accumulate(out[_phase(axis, p)], ((lo[2 * k + p], a), (hi[2 * k + p], d)))
     return out
-
-
-def _apply_axis(fn, axis, *arrays, **kw):
-    moved = [np.moveaxis(a, axis, -1) for a in arrays]
-    out = fn(*moved, **kw)
-    if isinstance(out, tuple):
-        return tuple(np.moveaxis(o, -1, axis) for o in out)
-    return np.moveaxis(out, -1, axis)
 
 
 # ---------------------------------------------------------------------------
 # separable 3D transform over the last three axes (leading axes pass through)
 # ---------------------------------------------------------------------------
 
-def _forward3(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> dict[str, np.ndarray]:
-    """One analysis level along z, y, x; returns all eight components."""
+def _forward3(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One analysis level along z, y, x: (8,) + x.shape[:-3] + halved extents,
+    ordered like SUBBAND_TAGS (first tag letter z, last x)."""
     lo = lo.astype(x.dtype, copy=False)
     hi = hi.astype(x.dtype, copy=False)
-    pieces = {"": x}
+    s = x[None]
     for axis in (-3, -2, -1):
-        nxt = {}
-        for tag, arr in pieces.items():
-            a, d = _apply_axis(_analyze_1d, axis, arr, lo=lo, hi=hi)
-            nxt[tag + "l"] = a
-            nxt[tag + "h"] = d
-        pieces = nxt
-    return pieces
+        a, d = _analyze_1d(s, lo, hi, axis)
+        s = np.stack([a, d], axis=1).reshape((-1,) + a.shape[1:])
+    return s
 
 
-def _inverse3(subbands: dict[str, np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _inverse3(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Synthesis inverse of `_forward3` with the given 1D pair."""
-    ref = subbands["lll"]
-    lo = lo.astype(ref.dtype, copy=False)
-    hi = hi.astype(ref.dtype, copy=False)
-    pieces = dict(subbands)
+    lo = lo.astype(s.dtype, copy=False)
+    hi = hi.astype(s.dtype, copy=False)
     for axis in (-1, -2, -3):
-        nxt = {}
-        prefixes = sorted({t[:-1] for t in pieces})
-        for p in prefixes:
-            nxt[p] = _apply_axis(
-                _synthesize_1d, axis, pieces[p + "l"], pieces[p + "h"], lo=lo, hi=hi
-            )
-        pieces = nxt
-    return pieces[""]
+        pairs = s.reshape((-1, 2) + s.shape[1:])
+        s = _synthesize_1d(pairs[:, 0], pairs[:, 1], lo, hi, axis)
+    return s[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +162,7 @@ def dwt3(x: np.ndarray, bank: FilterBank) -> SubbandSet:
 
 def idwt3(s: SubbandSet, bank: FilterBank) -> np.ndarray:
     """Reconstruct the volume from a subband set (exact inverse of dwt3)."""
-    return _inverse3(s.arrays, bank.lo_rec, bank.hi_rec)
-
-
-def dwt3_adjoint(subbands: dict[str, np.ndarray], bank: FilterBank) -> np.ndarray:
-    """Adjoint of dwt3: synthesis with the decomposition filters."""
-    return _inverse3(subbands, bank.lo_dec, bank.hi_dec)
-
-
-def idwt3_adjoint(x: np.ndarray, bank: FilterBank) -> dict[str, np.ndarray]:
-    """Adjoint of idwt3: analysis with the reconstruction filters."""
-    return _forward3(x, bank.lo_rec, bank.hi_rec)
+    return _inverse3(s.coeffs, bank.lo_rec, bank.hi_rec)
 
 
 def downsample2(x: np.ndarray) -> np.ndarray:
@@ -208,4 +187,5 @@ def hard_shrink_array(x: np.ndarray, threshold: float) -> np.ndarray:
 
 def hard_shrink(s: SubbandSet, cfg: ShrinkConfig = ShrinkConfig()) -> SubbandSet:
     """Apply hard shrinkage to the seven high-frequency subbands; lll passes."""
-    return s.map(lambda t, a: a if t == "lll" else hard_shrink_array(a, cfg.threshold))
+    shrunk = hard_shrink_array(s.coeffs[1:], cfg.threshold)
+    return SubbandSet(np.concatenate([s.coeffs[:1], shrunk]), s.wavelet)

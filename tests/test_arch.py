@@ -160,3 +160,24 @@ def test_state_dict_roundtrip_through_checkpoint(tmp_path):
     net2.load_state_dict(state)
     x = np.random.default_rng(0).standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
     assert net(x).data.tobytes() == net2(x).data.tobytes()
+
+
+def test_load_state_dict_rejects_partial_state():
+    net = build(paper_spec("DIDn", "haar"), seed=5)
+    state = net.state_dict()
+    partial = {k: state[k] for k in ("head.weight", "head.bias", "enc1.block1.bn.running_mean")}
+    before = net.head.bias.data.copy()
+    with pytest.raises(KeyError) as err:
+        net.load_state_dict({k: v + 1 for k, v in partial.items()})
+    assert "enc1.block1.conv.weight" in str(err.value)
+    assert "dec4.block2.bn.running_var" in str(err.value)
+    np.testing.assert_array_equal(net.head.bias.data, before)
+
+
+def test_load_state_dict_rejects_scalar_buffer():
+    net = build(paper_spec("DIDn", "haar"), seed=5)
+    state = dict(net.state_dict())
+    state["enc1.block1.bn.running_mean"] = np.float32(3.0)
+    with pytest.raises(ValueError, match="running_mean"):
+        net.load_state_dict(state)
+    np.testing.assert_array_equal(net.enc[0][0].bn.running_mean, 0.0)

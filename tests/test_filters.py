@@ -126,6 +126,6 @@ def test_1d_perfect_reconstruction_property(name, half_len, seed):
     bank = builtin_bank(name)
     n = max(2 * half_len, 2 * len(bank.lo_dec))
     x = np.random.default_rng(seed).standard_normal(n)
-    lo, hi = _analyze_1d(x[None, :], bank.lo_dec, bank.hi_dec)
-    rec = _synthesize_1d(lo, hi, bank.lo_rec, bank.hi_rec)[0]
+    lo, hi = _analyze_1d(x[None, :], bank.lo_dec, bank.hi_dec, axis=-1)
+    rec = _synthesize_1d(lo, hi, bank.lo_rec, bank.hi_rec, axis=-1)[0]
     assert np.max(np.abs(rec - x)) < 1e-10

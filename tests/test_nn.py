@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from wavecube.errors import (
     ShapeMismatchError,
     TapeConsumedError,
 )
-from wavecube.filters import SUBBAND_TAGS, builtin_bank
+from wavecube.filters import builtin_bank
 from wavecube.nn import (
     GradientTape,
     Tensor,
@@ -33,7 +35,6 @@ from wavecube.nn import (
 from wavecube.transform import _forward3, _inverse3
 
 rng = np.random.default_rng(20)
-HIGH = SUBBAND_TAGS[1:]
 
 
 def numeric_grad(fn, x0, idxs, h=1e-6):
@@ -183,10 +184,9 @@ def test_dwt_layer_channel_independence():
 def test_idwt_layer_shape_mismatch():
     bank = builtin_bank("haar")
     low = Tensor(np.zeros((1, 1, 2, 2, 2)))
-    highs = {t: Tensor(np.zeros((1, 1, 2, 2, 2))) for t in HIGH}
-    highs["hhh"] = Tensor(np.zeros((1, 1, 2, 2, 4)))
-    with pytest.raises(ShapeMismatchError):
-        idwt_layer(low, highs, bank)
+    for bad in [(7, 1, 2, 2, 4), (6, 1, 2, 2, 2), (1, 7, 2, 2, 2)]:
+        with pytest.raises(ShapeMismatchError):
+            idwt_layer(low, Tensor(np.zeros(bad)), bank)
 
 
 # -- finite-difference gradient checks ------------------------------------------
@@ -246,13 +246,12 @@ def test_dwt_adjoint_identity(name):
     # <dwt(x), y> == <x, adjoint(y)>, the adjoint being the layer's backward
     bank = builtin_bank(name)
     x_data = rng.standard_normal((1, 2, 8, 8, 8))
-    y = {t: rng.standard_normal((1, 2, 4, 4, 4)) for t in SUBBAND_TAGS}
+    y = rng.standard_normal((8, 1, 2, 4, 4, 4))
     x = Tensor(x_data, requires_grad=True, dtype=np.float64)
     with GradientTape() as tape:
         low, highs = dwt_layer(x, bank)
-        loss = tensor_dot(low, y["lll"])
-        for t in HIGH:
-            loss = tensor_add(loss, tensor_dot(highs[t], y[t]))
+        loss = tensor_add(tensor_dot(low, y[0]),
+                          tensor_dot(highs, y[1:].reshape(7, 2, 4, 4, 4)))
     backward(tape, loss)
     lhs = float(loss.data)
     adj = _inverse3(y, bank.lo_dec, bank.hi_dec)
@@ -265,17 +264,16 @@ def test_idwt_adjoint_is_rec_analysis():
     bank = builtin_bank("ch4.4")
     shape = (1, 1, 4, 4, 4)
     low = Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
-    highs = {t: Tensor(rng.standard_normal(shape), requires_grad=True,
-                       dtype=np.float64) for t in HIGH}
+    highs = Tensor(rng.standard_normal((7,) + shape[1:]), requires_grad=True,
+                   dtype=np.float64)
     probe = rng.standard_normal((1, 1, 8, 8, 8))
     with GradientTape() as tape:
         rec = idwt_layer(low, highs, bank)
         loss = tensor_dot(rec, probe)
     backward(tape, loss)
     expect = _forward3(probe, bank.lo_rec, bank.hi_rec)
-    np.testing.assert_allclose(low.grad, expect["lll"], atol=1e-10)
-    for t in HIGH:
-        np.testing.assert_allclose(highs[t].grad, expect[t], atol=1e-10)
+    np.testing.assert_allclose(low.grad, expect[0], atol=1e-10)
+    np.testing.assert_allclose(highs.grad, expect[1:].reshape(highs.shape), atol=1e-10)
 
 
 # -- tape semantics ------------------------------------------------------------
@@ -321,6 +319,41 @@ def test_no_tape_means_no_recording():
     x = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
     out = relu(x)
     assert out._recorded is False
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+def test_tape_is_per_thread(first):
+    # A opens a tape; B then runs relu with no tape of its own and opens a
+    # tape; the two tapes close in either order.
+    opened = {n: threading.Event() for n in "AB"}
+    closed = {n: threading.Event() for n in "AB"}
+    other = {"A": "B", "B": "A"}
+    tapes, errors = {}, []
+
+    def run(name):
+        try:
+            if name == "B":
+                assert opened["A"].wait(10)
+                relu(Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True))
+            with GradientTape() as tape:
+                tapes[name] = tape
+                opened[name].set()
+                assert opened[other[name]].wait(10)
+                if name != first:
+                    assert closed[first].wait(10)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            closed[name].set()
+
+    threads = [threading.Thread(target=run, args=(n,)) for n in "AB"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(tapes["A"]) == 0 and len(tapes["B"]) == 0
 
 
 # -- checkpoint container --------------------------------------------------------
