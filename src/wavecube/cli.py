@@ -31,6 +31,7 @@ from .data.swc import parse_swc
 from .data.volume_io import read_volume, write_volume
 from .errors import (
     NonFiniteGradientError,
+    NonFiniteLossError,
     UnknownWaveletError,
     WavecubeError,
 )
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
     except UnknownWaveletError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except NonFiniteGradientError as exc:
+    except (NonFiniteGradientError, NonFiniteLossError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (WavecubeError, OSError, ValueError) as exc:

@@ -41,6 +41,15 @@ class NonFiniteGradientError(WavecubeError):
         self.layer = layer
 
 
+class NonFiniteLossError(WavecubeError):
+    """The training loss is NaN or Inf; carries the iteration and the value."""
+
+    def __init__(self, iteration: int, value: float):
+        super().__init__(f"non-finite loss {value} at iteration {iteration}")
+        self.iteration = iteration
+        self.value = value
+
+
 class SwcFormatError(WavecubeError):
     """Malformed SWC line; message carries line number and content."""
 

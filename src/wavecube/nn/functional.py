@@ -2,8 +2,9 @@
 
 Every op computes its forward result eagerly and registers an adjoint
 closure on the active gradient tape.  Adjoints are exact transposes of the
-forward linear maps (convolutions scatter through the same windows, the
-DWT layer's backward is synthesis with the decomposition filters, etc.).
+forward linear maps (a convolution's input gradient correlates the
+cotangent with the flipped kernel, the DWT layer's backward is synthesis
+with the decomposition filters, etc.).
 """
 
 from __future__ import annotations
@@ -33,27 +34,105 @@ def _check_even_spatial(x: Tensor, what: str) -> None:
 # convolution family
 # ---------------------------------------------------------------------------
 
-def _offset_slices(k: int, stride: int, out_sp: tuple[int, int, int]):
-    do, mo, no = out_sp
-    for i, j, l in product(range(k), range(k), range(k)):
-        yield (slice(i, i + do * stride, stride),
-               slice(j, j + mo * stride, stride),
-               slice(l, l + no * stride, stride))
+# Bytes of one gathered block, sized to stay in a core's L2 cache while
+# the k gemms read it: on a 2-core Xeon with 2 MiB of L2 per core, 512 KiB
+# blocks ran the network's full-resolution layers 1.2-1.6x faster than
+# blocks of 16384 positions.  A block spans at least 1024 positions, which
+# bounds the Python overhead per block.
+_BLOCK_BYTES = 1 << 19
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, out_sp: tuple[int, int, int]) -> np.ndarray:
-    """(B, Ci, padded spatial) -> (B, Ci*k^3, P) copy, P = prod(out_sp)."""
-    b, ci = xp.shape[:2]
-    cols = np.empty((b, ci, k ** 3) + out_sp, dtype=xp.dtype)
-    for o, sl in enumerate(_offset_slices(k, stride, out_sp)):
-        cols[:, :, o] = xp[:, :, sl[0], sl[1], sl[2]]
-    return cols.reshape(b, ci * k ** 3, int(np.prod(out_sp)))
+class _FlatGrid:
+    """A (B, C, z, y, x) batch zero-padded by `pad` voxels a side (a negative
+    pad crops) with each sample's padded grid flattened into one row.
+
+    A kernel offset (i, j, l) is then the flat shift i*plane + j*row + l.
+    `flat` carries (k-1)*(row+1) trailing zeros so that every shift of the
+    whole grid stays in bounds; output positions past the valid extents in y
+    and x read padding and are cropped afterwards.
+    """
+
+    def __init__(self, a: np.ndarray, pad: int, k: int):
+        if pad < 0:
+            a = a[:, :, -pad:pad, -pad:pad, -pad:pad]
+            pad = 0
+        b, c = a.shape[:2]
+        self.k = k
+        self.sp = tuple(e + 2 * pad for e in a.shape[2:])
+        self.row = self.sp[2]
+        self.plane = self.sp[1] * self.sp[2]
+        # the stride-1 valid correlation with a k-cube, and its flat length
+        # with the row padding included
+        self.out_sp = tuple(e - k + 1 for e in self.sp)
+        self.out_len = self.out_sp[0] * self.plane
+        rows = c * k * k
+        self.block = max(1, min(self.out_len, max(1024, _BLOCK_BYTES // (rows * a.itemsize))))
+        size = self.sp[0] * self.plane
+        self.flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
+        grid = self.flat[:, :, :size].reshape((b, c) + self.sp)
+        grid[:, :, pad:self.sp[0] - pad, pad:self.sp[1] - pad, pad:self.sp[2] - pad] = a
+
+    def blocks(self):
+        """Yield (sample, start, stop, cols) for each sample and each block of
+        at most `block` flat output positions.  `cols` is the block's k*k
+        (z, y) shifts, (C*k*k, stop - start + k - 1) with rows ordered
+        (c, i, j); its slice `cols[:, l:l + stop - start]` is the input under
+        kernel offsets (i, j, l).  One buffer is reused for every block."""
+        k, n = self.k, self.out_len
+        c = self.flat.shape[1]
+        buf = np.empty((c, k, k, self.block + k - 1), dtype=self.flat.dtype)
+        for bi, src in enumerate(self.flat):
+            for start in range(0, n, self.block):
+                stop = min(start + self.block, n)
+                width = stop - start + k - 1
+                for i, j in product(range(k), range(k)):
+                    shift = start + i * self.plane + j * self.row
+                    buf[:, i, j, :width] = src[:, shift:shift + width]
+                yield bi, start, stop, buf.reshape(c * k * k, -1)[:, :width]
+
+    def crop(self, flat_out: np.ndarray) -> np.ndarray:
+        """(B, C, out_len) rows with padding -> contiguous (B, C) + out_sp."""
+        do, mo, no = self.out_sp
+        grid = flat_out.reshape(flat_out.shape[:2] + (do,) + self.sp[1:])
+        return np.ascontiguousarray(grid[..., :mo, :no])
+
+    def uncrop(self, g: np.ndarray) -> np.ndarray:
+        """Inverse of `crop`: (B, C) + out_sp -> (B, C, out_len), zero row padding."""
+        b, c, do, mo, no = g.shape
+        flat = np.zeros((b, c, do) + self.sp[1:], dtype=g.dtype)
+        flat[..., :mo, :no] = g
+        return flat.reshape(b, c, self.out_len)
+
+
+def _correlate(a: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
+    """Stride-1 correlation of (B, Ci, z, y, x) with (Co, Ci, k, k, k) after
+    zero-padding every spatial side by `pad`: per gathered block, k gemms
+    (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset slices, accumulated."""
+    co, k = w.shape[0], w.shape[2]
+    grid = _FlatGrid(a, pad, k)
+    w_l = [np.ascontiguousarray(w[..., l]).reshape(co, -1) for l in range(k)]
+    out = np.empty((a.shape[0], co, grid.out_len), dtype=np.result_type(a, w))
+    tmp = np.empty((co, grid.block), dtype=out.dtype)
+    for bi, start, stop, cols in grid.blocks():
+        m = stop - start
+        dst = out[bi, :, start:stop]
+        np.matmul(w_l[0], cols[:, :m], out=dst)
+        for l in range(1, k):
+            np.matmul(w_l[l], cols[:, l:l + m], out=tmp[:, :m])
+            dst += tmp[:, :m]
+    return grid.crop(out)
 
 
 def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
           padding: int | None = None) -> Tensor:
     """3D convolution; kernel is cubic, default padding keeps extents (stride 1)
-    or halves them exactly (stride 2, even inputs)."""
+    or halves them exactly (stride 2, even inputs).
+
+    Stride 2 is the stride-1 result subsampled at even positions; its adjoint
+    zero-inserts the cotangent and runs the stride-1 adjoint.  The backward
+    keeps nothing beyond `x` and `weight`: the input gradient is `_correlate`
+    of the cotangent with the flipped, (Co, Ci)-transposed kernel, and the
+    weight gradient gathers the padded input again, block by block."""
     x = as_tensor(x)
     _check_5d(x)
     co, ci, k = weight.data.shape[0], weight.data.shape[1], weight.data.shape[2]
@@ -67,37 +146,35 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     elif stride != 1:
         raise ValueError(f"stride must be 1 or 2, got {stride}")
 
-    b = x.data.shape[0]
-    sp = x.data.shape[2:]
-    out_sp = tuple((e + 2 * padding - k) // stride + 1 for e in sp)
-    pad = ((0, 0), (0, 0)) + ((padding, padding),) * 3
-    xp = np.pad(x.data, pad) if padding else x.data
-    cols = _im2col(xp, k, stride, out_sp)  # (B, K, P)
-    wmat = weight.data.reshape(co, ci * k ** 3)
-    out = (wmat @ cols).reshape((b, co) + out_sp)
+    out = _correlate(x.data, weight.data, padding)
+    full_sp = out.shape[2:]
+    if stride == 2:
+        out = np.ascontiguousarray(out[:, :, ::2, ::2, ::2])
     if bias is not None:
         out += bias.data[None, :, None, None, None]
     result = Tensor(out)
 
     def adjoint(grads):
         g = grads[0]
-        gmat = g.reshape(b, co, -1)  # (B, Co, P)
         if bias is not None and wants_grad(bias):
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
+        if stride == 2:
+            g1 = np.zeros(g.shape[:2] + full_sp, dtype=g.dtype)
+            g1[:, :, ::2, ::2, ::2] = g
+            g = g1
         if wants_grad(weight):
-            gw = np.zeros((co, ci * k ** 3), dtype=wmat.dtype)
-            for bi in range(b):  # per-sample gemm avoids tensordot copies
-                gw += gmat[bi] @ cols[bi].T
-            weight._accumulate(gw.reshape(weight.data.shape))
+            grid = _FlatGrid(x.data, padding, k)
+            gflat = grid.uncrop(g)
+            gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, grid.flat))
+            for bi, start, stop, cols in grid.blocks():
+                g_t = gflat[bi, :, start:stop].T
+                for l in range(k):
+                    gw[l] += cols[:, l:l + stop - start] @ g_t
+            gw = gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0)
+            weight._accumulate(np.ascontiguousarray(gw))
         if wants_grad(x):
-            gcols = wmat.T @ gmat  # (B, K, P)
-            gcols = gcols.reshape((b, ci, k ** 3) + out_sp)
-            gpad = np.zeros_like(xp)
-            for o, sl in enumerate(_offset_slices(k, stride, out_sp)):
-                gpad[:, :, sl[0], sl[1], sl[2]] += gcols[:, :, o]
-            if padding:
-                gpad = gpad[:, :, padding:-padding, padding:-padding, padding:-padding]
-            x._accumulate(gpad)
+            w_adj = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            x._accumulate(_correlate(g, w_adj, k - 1 - padding))
 
     record(result, adjoint)
     return result
@@ -225,9 +302,10 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 
 def relu(x) -> Tensor:
+    """max(x, 0); NaN stays NaN, so a non-finite forward reaches the loss."""
     x = as_tensor(x)
     mask = x.data > 0
-    result = Tensor(np.where(mask, x.data, np.zeros((), dtype=x.data.dtype)))
+    result = Tensor(np.maximum(x.data, np.zeros((), dtype=x.data.dtype)))
 
     def adjoint(grads):
         if wants_grad(x):

@@ -31,7 +31,7 @@ class Layer:
 class Conv3(Layer):
     """Cubic-kernel convolution with bias (default 3x3x3, padding 1)."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int = 3, stride: int = 1,
+    def __init__(self, c_in: int, c_out: int, kernel: int = 3,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         std = float(np.sqrt(2.0 / (c_in * kernel ** 3)))
@@ -39,10 +39,9 @@ class Conv3(Layer):
             rng.normal(0.0, std, size=(c_out, c_in, kernel, kernel, kernel)),
             requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True, dtype=dtype)
-        self.stride = stride
 
     def forward(self, x):
-        return F.conv3(x, self.weight, self.bias, stride=self.stride)
+        return F.conv3(x, self.weight, self.bias)
 
 
 class SConv2(Layer):

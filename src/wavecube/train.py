@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import Network, NetworkSpec, build
-from .errors import NonFiniteGradientError
+from .errors import NonFiniteGradientError, NonFiniteLossError
 from .nn.autograd import GradientTape, Tensor, as_tensor, backward, record, wants_grad
 from .nn.checkpoint import save_state
 
@@ -228,12 +228,14 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
                 with GradientTape() as tape:
                     logits = network.forward(x, training=True)
                     loss = weighted_cross_entropy(logits, y, weights)
+                loss_val = float(loss.data)
+                if not np.isfinite(loss_val):
+                    raise NonFiniteLossError(state.iteration + 1, loss_val)
                 backward(tape, loss, parameters=params.values())
                 grads = {path: t.grad for path, t in params.items()}
                 sgd_step(param_arrays, grads, state, lr, cfg)
 
                 state.iteration += 1
-                loss_val = float(loss.data)
                 losses.append(loss_val)
                 if metrics_fh is not None:
                     metrics_fh.write(

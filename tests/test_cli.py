@@ -151,6 +151,20 @@ def test_train_and_segment_cli(tmp_path, capsys):
     assert set(np.unique(seg)) <= {0, 1}
 
 
+def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
+    data_dir = tmp_path / "cubes"
+    assert main(["gen-phantom", "--out", str(data_dir), "--count", "2",
+                 "--shape", "16x16x16", "--seed", "3"]) == 0
+    img_path = sorted(data_dir.glob("*.img.nvol"))[0]
+    img = read_volume(img_path)
+    img[1, 2, 3] = np.nan
+    write_volume(img_path, img)
+    assert main(["train", "--arch", "PU", "--data", str(data_dir),
+                 "--out", str(tmp_path / "run"), "--epochs", "1",
+                 "--batch-size", "2", "--val-fraction", "0"]) == 3
+    assert "numeric failure: non-finite loss" in capsys.readouterr().err
+
+
 def test_provenance_header_on_stderr_not_stdout(tmp_path, capsys):
     assert main(["count-params", "--arch", "PU"]) == 0
     captured = capsys.readouterr()

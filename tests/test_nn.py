@@ -163,6 +163,12 @@ def test_relu_and_concat():
         concat_channels(a, Tensor(np.ones((1, 8, 2, 2, 4))))
 
 
+def test_relu_keeps_nan():
+    out = relu(Tensor(np.array([np.nan, -1.0, 2.0]).reshape(1, 1, 1, 1, 3))).data
+    assert np.isnan(out[0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(out[0, 0, 0, 0, 1:], [0.0, 2.0])
+
+
 def test_batchnorm_train_normalizes():
     x = rng.standard_normal((4, 3, 4, 4, 4)) * 3.0 + 7.0
     gamma = Tensor(np.ones(3), dtype=np.float64)
@@ -214,6 +220,75 @@ def test_gradients_match_finite_differences():
     check_input_grad(lambda x: relu(x), x0 + 0.21, rel_tol=1e-3)
     bank = builtin_bank("db2")
     check_input_grad(lambda x: dwt_layer(x, bank)[0], x0, rel_tol=1e-3)
+
+
+def conv3_reference(x, w, b, stride, padding):
+    """Direct correlation: one window product per output voxel."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+    out_sp = [(e + 2 * padding - k) // stride + 1 for e in x.shape[2:]]
+    out = np.empty((x.shape[0], w.shape[0], *out_sp))
+    for z, y, xx in np.ndindex(*out_sp):
+        win = xp[:, :, z * stride:z * stride + k, y * stride:y * stride + k,
+                 xx * stride:xx * stride + k]
+        out[:, :, z, y, xx] = np.tensordot(win, w, axes=([1, 2, 3, 4], [1, 2, 3, 4])) + b
+    return out
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("ci,co,k,padding", [(1, 4, 3, 1), (3, 2, 1, 0), (5, 1, 3, 1)])
+def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
+    local = np.random.default_rng(100 * ci + 10 * co + stride)
+    x = Tensor(local.standard_normal((2, ci, 4, 6, 8)), dtype=np.float64)
+    w0 = local.standard_normal((co, ci, k, k, k))
+    b0 = local.standard_normal(co)
+
+    out = conv3(x, Tensor(w0), Tensor(b0), stride=stride, padding=padding)
+    want = conv3_reference(x.data, w0, b0, stride, padding)
+    assert out.data.shape == want.shape
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+
+    probe = local.standard_normal(want.shape)
+    w = Tensor(w0.copy(), requires_grad=True, dtype=np.float64)
+    b = Tensor(b0.copy(), requires_grad=True, dtype=np.float64)
+    with GradientTape() as tape:
+        loss = tensor_dot(conv3(x, w, b, stride=stride, padding=padding), probe)
+    backward(tape, loss)
+
+    def scalar_w(arr):
+        return float(tensor_dot(conv3(x, Tensor(arr), b, stride=stride,
+                                      padding=padding), probe).data)
+
+    def scalar_b(arr):
+        return float(tensor_dot(conv3(x, w, Tensor(arr), stride=stride,
+                                      padding=padding), probe).data)
+
+    for param, scalar, p0 in ((w, scalar_w, w0), (b, scalar_b, b0)):
+        fd = numeric_grad(scalar, p0, list(np.ndindex(*p0.shape)))
+        for idx, expect in fd.items():
+            assert abs(param.grad[idx] - expect) <= 1e-6 * max(abs(expect), 1.0), (
+                idx, param.grad[idx], expect)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3_spanning_several_gather_blocks(stride):
+    # 3 channels of 8x20x20 flatten to more output positions than one
+    # gathered block holds in float64, so block edges are crossed
+    local = np.random.default_rng(7 + stride)
+    x0 = local.standard_normal((1, 3, 8, 20, 20))
+    w0 = local.standard_normal((2, 3, 3, 3, 3))
+    x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
+    w = Tensor(w0.copy(), requires_grad=True, dtype=np.float64)
+    with GradientTape() as tape:
+        out = conv3(x, w, stride=stride)
+        probe = local.standard_normal(out.data.shape)
+        loss = tensor_dot(out, probe)
+    backward(tape, loss)
+    np.testing.assert_allclose(out.data, conv3_reference(x0, w0, 0.0, stride, 1),
+                               rtol=1e-12, atol=1e-12)
+    # the loss is linear in x and in w: <grad, argument> equals the loss
+    assert float((x.grad * x0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
+    assert float((w.grad * w0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
 
 
 def test_dwt_layer_low_gradient_is_constant_for_sum_loss():

@@ -5,7 +5,7 @@ import pytest
 
 from wavecube.arch import paper_spec
 from wavecube.data import PhantomConfig, generate_phantom_dataset
-from wavecube.errors import NonFiniteGradientError
+from wavecube.errors import NonFiniteGradientError, NonFiniteLossError
 from wavecube.nn import GradientTape, Tensor, backward
 from wavecube.train import (
     TrainConfig,
@@ -173,6 +173,16 @@ def test_fit_writes_checkpoints_and_metrics(tmp_path):
     assert meta["arch"] == "DIDn" and meta["wavelet"] == "haar"
     got = dict(result.network.state_dict())
     assert all(state[k].tobytes() == got[k].tobytes() for k in state)
+
+
+def test_fit_nonfinite_loss_raises_before_backward():
+    ds = _clean_phantoms(2)
+    ds[0][0][3, 5, 7] = np.nan
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0, val_fraction=0.0)
+    with pytest.raises(NonFiniteLossError) as err:
+        fit(paper_spec("PU"), ds, cfg)
+    assert err.value.iteration == 1
+    assert math.isnan(err.value.value)
 
 
 def test_fit_rejects_empty_dataset():
