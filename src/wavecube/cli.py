@@ -222,7 +222,8 @@ def cmd_segment(args) -> int:
                             workers=args.workers)
     write_volume(args.out, result.labels)
     print(f"# segmented {volume.shape} with {arch}({wavelet or '-'}) "
-          f"ckpt epoch {meta.get('epoch', '?')} -> {args.out}", file=sys.stderr)
+          f"ckpt epoch {meta.get('epoch', '?')} -> {args.out} "
+          f"(blas threads {result.provenance['blas_threads']})", file=sys.stderr)
     return 0
 
 

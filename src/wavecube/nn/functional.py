@@ -68,6 +68,9 @@ class _FlatGrid:
         rows = c * k * k
         self.block = max(1, min(self.out_len, max(1024, _BLOCK_BYTES // (rows * a.itemsize))))
         size = self.sp[0] * self.plane
+        if k == 1 and pad == 0:
+            self.flat = a.reshape(b, c, size)  # a view: no padding, no tail
+            return
         self.flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
         grid = self.flat[:, :, :size].reshape((b, c) + self.sp)
         grid[:, :, pad:self.sp[0] - pad, pad:self.sp[1] - pad, pad:self.sp[2] - pad] = a
@@ -77,13 +80,17 @@ class _FlatGrid:
         at most `block` flat output positions.  `cols` is the block's k*k
         (z, y) shifts, (C*k*k, stop - start + k - 1) with rows ordered
         (c, i, j); its slice `cols[:, l:l + stop - start]` is the input under
-        kernel offsets (i, j, l).  One buffer is reused for every block."""
+        kernel offsets (i, j, l).  One buffer is reused for every block; with
+        k = 1 `cols` is the flat slice itself."""
         k, n = self.k, self.out_len
         c = self.flat.shape[1]
-        buf = np.empty((c, k, k, self.block + k - 1), dtype=self.flat.dtype)
+        buf = np.empty((c, k, k, self.block + k - 1), dtype=self.flat.dtype) if k > 1 else None
         for bi, src in enumerate(self.flat):
             for start in range(0, n, self.block):
                 stop = min(start + self.block, n)
+                if k == 1:
+                    yield bi, start, stop, src[:, start:stop]
+                    continue
                 width = stop - start + k - 1
                 for i, j in product(range(k), range(k)):
                     shift = start + i * self.plane + j * self.row
@@ -304,12 +311,12 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 def relu(x) -> Tensor:
     """max(x, 0); NaN stays NaN, so a non-finite forward reaches the loss."""
     x = as_tensor(x)
-    mask = x.data > 0
     result = Tensor(np.maximum(x.data, np.zeros((), dtype=x.data.dtype)))
 
     def adjoint(grads):
+        # result > 0 selects the same entries as x > 0, NaN included
         if wants_grad(x):
-            x._accumulate(grads[0] * mask)
+            x._accumulate(grads[0] * (result.data > 0))
 
     record(result, adjoint)
     return result
@@ -337,16 +344,17 @@ def concat_channels(a, b) -> Tensor:
 
 
 def hard_shrink_layer(x, threshold: float) -> Tensor:
-    """Hard shrinkage as a layer: zero where |x| <= threshold, identity outside.
+    """Hard shrinkage as a layer: zero where |x| <= threshold, identity outside,
+    so NaN passes through as it does in `relu`.
 
     Gradient passes through kept coefficients and is zero elsewhere."""
     x = as_tensor(x)
-    mask = np.abs(x.data) > threshold
-    result = Tensor(np.where(mask, x.data, np.zeros((), dtype=x.data.dtype)))
+    zero = np.abs(x.data) <= threshold
+    result = Tensor(np.where(zero, np.zeros((), dtype=x.data.dtype), x.data))
 
     def adjoint(grads):
         if wants_grad(x):
-            x._accumulate(grads[0] * mask)
+            x._accumulate(np.where(zero, np.zeros((), dtype=grads[0].dtype), grads[0]))
 
     record(result, adjoint)
     return result

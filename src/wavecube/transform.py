@@ -181,8 +181,9 @@ def upsample2(x: np.ndarray) -> np.ndarray:
 
 
 def hard_shrink_array(x: np.ndarray, threshold: float) -> np.ndarray:
-    """Zero every coefficient with |x| <= threshold (strict keep outside)."""
-    return np.where(np.abs(x) > threshold, x, np.zeros((), dtype=x.dtype))
+    """Zero every coefficient with |x| <= threshold (strict keep outside);
+    NaN is kept."""
+    return np.where(np.abs(x) <= threshold, np.zeros((), dtype=x.dtype), x)
 
 
 def hard_shrink(s: SubbandSet, cfg: ShrinkConfig = ShrinkConfig()) -> SubbandSet:

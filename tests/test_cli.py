@@ -146,6 +146,7 @@ def test_train_and_segment_cli(tmp_path, capsys):
     assert main(["segment", "--ckpt", str(ckpt), "--in", str(vol),
                  "--out", str(seg_out), "--cube-shape", "16x16x16",
                  "--workers", "2"]) == 0
+    assert "(blas threads " in capsys.readouterr().err
     seg = read_volume(seg_out)
     assert seg.shape == (20, 20, 20)
     assert set(np.unique(seg)) <= {0, 1}

@@ -169,6 +169,17 @@ def test_relu_keeps_nan():
     np.testing.assert_array_equal(out[0, 0, 0, 0, 1:], [0.0, 2.0])
 
 
+def test_hard_shrink_layer_keeps_nan():
+    x = Tensor(np.array([np.nan, 0.1, -1.0]).reshape(1, 1, 1, 1, 3), requires_grad=True)
+    with GradientTape() as tape:
+        out = hard_shrink_layer(x, 0.25)
+        loss = tensor_sum(out)
+    assert np.isnan(out.data[0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(out.data[0, 0, 0, 0, 1:], [0.0, -1.0])
+    backward(tape, loss)
+    np.testing.assert_array_equal(x.grad.ravel(), [1.0, 0.0, 1.0])
+
+
 def test_batchnorm_train_normalizes():
     x = rng.standard_normal((4, 3, 4, 4, 4)) * 3.0 + 7.0
     gamma = Tensor(np.ones(3), dtype=np.float64)

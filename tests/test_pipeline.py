@@ -1,6 +1,10 @@
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from wavecube import pipeline
 from wavecube.arch import build, paper_spec
 from wavecube.errors import ShapeMismatchError
 from wavecube.pipeline import assemble, iou, partition, segment_volume
@@ -124,6 +128,116 @@ def test_segment_retains_logits_when_asked():
                             (16, 16, 16), retain_logits=True)
     assert set(result.cube_logits) == {(0, 0, 0)}
     assert result.cube_logits[(0, 0, 0)].shape == (2, 16, 16, 16)
+
+
+# -- BLAS thread cap -------------------------------------------------------------
+
+OPENBLAS = pipeline._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs OpenBLAS on 2 threads; its own count is put back after."""
+    get, set_ = OPENBLAS
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+class _ProbeNetwork:
+    """Records the BLAS thread count seen by each forward; `forward_hook`
+    runs first and may block or raise."""
+
+    spec = SimpleNamespace(dual_structure="probe", wavelet=None)
+
+    def __init__(self, forward_hook=lambda: None):
+        self.forward_hook = forward_hook
+        self.seen = []
+
+    def forward(self, x, training):
+        self.forward_hook()
+        self.seen.append(OPENBLAS[0]())
+        return SimpleNamespace(data=np.zeros((1, 2) + x.shape[2:], dtype=np.float32))
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_segment_runs_one_blas_thread_and_restores(two_blas_threads, workers):
+    net = _ProbeNetwork()
+    result = segment_volume(np.zeros((32, 16, 16), dtype=np.float32), net, (16, 16, 16),
+                            workers=workers)
+    assert net.seen == [1, 1]
+    assert result.provenance["blas_threads"] == 1
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_segment_restores_blas_threads_when_a_cube_raises(two_blas_threads, workers):
+    def fail():
+        raise ValueError("broken cube")
+
+    with pytest.raises(ValueError, match="broken cube"):
+        segment_volume(np.zeros((16, 16, 16), dtype=np.float32), _ProbeNetwork(fail),
+                       (16, 16, 16), workers=workers)
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_concurrent_segments_restore_blas_threads_once(two_blas_threads):
+    # both calls are inside the cap before the first leaves; the second
+    # still runs on one thread after the first has returned
+    both_in = threading.Barrier(2, timeout=30)
+    first_done = threading.Event()
+    first = _ProbeNetwork(both_in.wait)
+    second = _ProbeNetwork(lambda: (both_in.wait(), first_done.wait(timeout=30)))
+    errors = []
+
+    def call(net, done=None):
+        try:
+            segment_volume(np.zeros((16, 16, 16), dtype=np.float32), net, (16, 16, 16))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+        finally:
+            if done is not None:
+                done.set()
+
+    threads = [threading.Thread(target=call, args=(first, first_done)),
+               threading.Thread(target=call, args=(second,))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert first_done.is_set()
+    assert first.seen == [1] and second.seen == [1]
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_segment_labels_independent_of_workers_with_blas_threads(two_blas_threads):
+    net = build(paper_spec("PU"), seed=5)
+    net.head.weight.data[...] = np.random.default_rng(6).standard_normal(
+        net.head.weight.data.shape).astype(np.float32)
+    vol = rng.random((20, 40, 40)).astype(np.float32)
+    labels = [segment_volume(vol, net, (16, 32, 32), workers=w).labels.tobytes()
+              for w in (1, 2, 4)]
+    assert labels[0] == labels[1] == labels[2]
+    assert two_blas_threads() == 2
+
+
+def test_segment_without_openblas_reports_unknown(monkeypatch):
+    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+    net = _bias_network((-1.0, 1.0))  # foreground wins everywhere
+    result = segment_volume(np.zeros((16, 16, 16), dtype=np.float32), net, (16, 16, 16),
+                            workers=2)
+    assert result.labels.sum() == 16 ** 3
+    assert result.provenance["blas_threads"] == "unknown"
 
 
 # -- IoU ----------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from wavecube.transform import (
     downsample2,
     dwt3,
     hard_shrink,
+    hard_shrink_array,
     idwt3,
     upsample2,
 )
@@ -208,6 +209,12 @@ def test_hard_shrink_boundary_grid():
     out = hard_shrink(SubbandSet(arrays, "haar"), ShrinkConfig(0.25))
     np.testing.assert_array_equal(out["hhh"].flat[:7], expect)
     np.testing.assert_array_equal(out["lll"], arrays["lll"])
+
+
+def test_hard_shrink_array_keeps_nan():
+    out = hard_shrink_array(np.array([np.nan, 0.1, -1.0]), 0.25)
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:], [0.0, -1.0])
 
 
 def test_hard_shrink_idempotent():
