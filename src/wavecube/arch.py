@@ -17,7 +17,7 @@ logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,15 +31,28 @@ DUAL_STRUCTURES = ("PU", "PDc", "ScIn", "DDc", "DIn", "DI", "DIDn")
 WAVELET_STRUCTURES = ("DDc", "DIn", "DI", "DIDn")
 CONCAT_STRUCTURES = ("PDc", "ScIn", "DDc", "DIn")
 
-BRANCH_PAYLOADS = {
-    "PU": "pool_indices",
-    "PDc": "skip_copy",
-    "ScIn": "skip_copy",
-    "DDc": "skip_copy",
-    "DIn": "skip_copy",
-    "DI": "high_frequency",
-    "DIDn": "high_frequency_denoised",
-}
+
+def _encode(value) -> str:
+    """Config text of one field value: None is `none`, pairs are `a,b`,
+    a schedule of pairs is `a,b;c,d`."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_encode(v) for v in value)
+    return str(value)
+
+
+def _decode(text: str, like):
+    """Inverse of `_encode`, shaped and typed like the field's default; a
+    field whose default is None, text or absent decodes to text or None."""
+    if isinstance(like, tuple):
+        if isinstance(like[0], tuple):
+            return tuple(_decode(part, like[0]) for part in text.split(";"))
+        return tuple(type(like[0])(v) for v in text.split(","))
+    if isinstance(like, (int, float)):
+        return type(like)(text)
+    return None if text == "none" else text
 
 
 @dataclass(frozen=True)
@@ -67,48 +80,35 @@ class NetworkSpec:
         if len(self.encoder_channels) != self.levels or len(self.decoder_channels) != self.levels:
             raise ValueError("channel schedules must list one pair per level")
 
-    @property
-    def branch_payload(self) -> str:
-        return BRANCH_PAYLOADS[self.dual_structure]
+    def to_config(self) -> dict[str, str]:
+        """Every field as `key -> text`, in declaration order."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @staticmethod
+    def from_config(config: dict[str, str]) -> "NetworkSpec":
+        """Inverse of `to_config`; absent keys take the field defaults.
+        Raises ValueError on an unknown key or a missing `dual_structure`."""
+        specs = {f.name: f for f in fields(NetworkSpec)}
+        unknown = sorted(set(config) - specs.keys())
+        if unknown:
+            raise ValueError(f"unknown network config keys {unknown}")
+        if "dual_structure" not in config:
+            raise ValueError("network config names no dual_structure")
+        return NetworkSpec(**{key: _decode(text, specs[key].default)
+                              for key, text in config.items()})
 
     def to_config_text(self) -> str:
-        pairs = lambda t: ";".join(f"{a},{b}" for a, b in t)
-        lines = [
-            f"dual_structure={self.dual_structure}",
-            f"wavelet={self.wavelet or 'none'}",
-            f"levels={self.levels}",
-            f"encoder_channels={pairs(self.encoder_channels)}",
-            f"bottom_channels={self.bottom_channels[0]},{self.bottom_channels[1]}",
-            f"decoder_channels={pairs(self.decoder_channels)}",
-            f"classes={self.classes}",
-            f"shrink_threshold={self.shrink_threshold}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}={text}\n" for key, text in self.to_config().items())
 
     @staticmethod
     def from_config_text(text: str) -> "NetworkSpec":
-        kv = {}
+        config = {}
         for line in text.splitlines():
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-        pairs = lambda s: tuple(tuple(int(v) for v in p.split(",")) for p in s.split(";"))
-        wavelet = kv.get("wavelet", "none")
-        return NetworkSpec(
-            dual_structure=kv["dual_structure"],
-            wavelet=None if wavelet == "none" else wavelet,
-            levels=int(kv.get("levels", 4)),
-            encoder_channels=pairs(kv["encoder_channels"]) if "encoder_channels" in kv
-            else NetworkSpec.__dataclass_fields__["encoder_channels"].default,
-            bottom_channels=tuple(int(v) for v in kv["bottom_channels"].split(","))
-            if "bottom_channels" in kv else (32, 32),
-            decoder_channels=pairs(kv["decoder_channels"]) if "decoder_channels" in kv
-            else NetworkSpec.__dataclass_fields__["decoder_channels"].default,
-            classes=int(kv.get("classes", 2)),
-            shrink_threshold=float(kv.get("shrink_threshold", 0.25)),
-        )
+            if line and not line.startswith("#"):
+                key, _, val = line.partition("=")
+                config[key.strip()] = val.strip()
+        return NetworkSpec.from_config(config)
 
 
 def paper_spec(dual_structure: str, wavelet: str | None = None) -> NetworkSpec:

@@ -25,7 +25,7 @@ from .arch import (
     format_description,
 )
 from .data.cubes import cut_cubes
-from .data.phantom import PhantomConfig, generate_phantom
+from .data.phantom import PhantomConfig, generate_phantom_dataset
 from .data.rasterize import rasterize
 from .data.swc import parse_swc
 from .data.volume_io import read_volume, write_volume
@@ -74,11 +74,7 @@ def _network_spec(args) -> NetworkSpec:
             raise UsageError(f"--wavelet is required for arch {args.arch}")
     else:
         wavelet = None
-    threshold = getattr(args, "threshold", None)
-    if threshold is None:
-        return NetworkSpec(dual_structure=args.arch, wavelet=wavelet)
-    return NetworkSpec(dual_structure=args.arch, wavelet=wavelet,
-                       shrink_threshold=threshold)
+    return NetworkSpec(dual_structure=args.arch, wavelet=wavelet)
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -92,9 +88,7 @@ def cmd_gen_phantom(args) -> int:
         foreground=args.fg, background=args.bg, noise_sigma=args.sigma,
         impulse_fraction=args.impulse, gap_count=args.gaps,
         gap_length=args.gap_length, seed=args.seed)
-    for i in range(args.count):
-        sub_cfg = PhantomConfig(**{**vars(cfg), "seed": args.seed + i})
-        image, labels = generate_phantom(sub_cfg)
+    for i, (image, labels) in enumerate(generate_phantom_dataset(args.count, cfg)):
         write_volume(out / f"cube_{i:05d}.img.nvol", image)
         write_volume(out / f"cube_{i:05d}.lbl.nvol", labels)
     print(f"# wrote {args.count} cube pairs to {out}", file=sys.stderr)
@@ -204,25 +198,19 @@ def cmd_train(args) -> int:
 
 def cmd_segment(args) -> int:
     state, meta = load_state(args.ckpt)
-    arch = args.arch or meta.get("arch")
-    wavelet = args.wavelet or (None if meta.get("wavelet", "none") == "none"
-                               else meta.get("wavelet"))
-    if arch is None:
-        raise UsageError("--arch not given and checkpoint carries no arch meta")
-    if arch in WAVELET_STRUCTURES and wavelet is None:
-        raise UsageError(f"--wavelet is required for arch {arch}")
-    if arch not in WAVELET_STRUCTURES:
-        wavelet = None
-    spec = NetworkSpec(dual_structure=arch, wavelet=wavelet,
-                       shrink_threshold=float(meta.get("shrink_threshold", 0.25)))
+    if "dual_structure" not in meta:
+        raise WavecubeError(f"{args.ckpt}: checkpoint metadata carries no network spec")
+    epoch = meta.pop("epoch", "?")
+    meta.pop("seed", None)
+    spec = NetworkSpec.from_config(meta)
     network = build(spec)
     network.load_state_dict(state)
     volume = read_volume(args.infile)
     result = segment_volume(volume, network, _parse_shape(args.cube_shape),
                             workers=args.workers)
     write_volume(args.out, result.labels)
-    print(f"# segmented {volume.shape} with {arch}({wavelet or '-'}) "
-          f"ckpt epoch {meta.get('epoch', '?')} -> {args.out} "
+    print(f"# segmented {volume.shape} with {spec.dual_structure}({spec.wavelet or '-'}) "
+          f"ckpt epoch {epoch} -> {args.out} "
           f"(blas threads {result.provenance['blas_threads']})", file=sys.stderr)
     return 0
 
@@ -321,8 +309,6 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("segment", help="segment a whole volume with a checkpoint")
-    p.add_argument("--arch", default=None, choices=DUAL_STRUCTURES)
-    p.add_argument("--wavelet", default=None)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)

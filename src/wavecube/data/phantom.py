@@ -8,7 +8,7 @@ optional gaps that break fibers in the image while labels stay intact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,13 +112,4 @@ def generate_phantom(cfg: PhantomConfig) -> tuple[np.ndarray, np.ndarray]:
 def generate_phantom_dataset(count: int, cfg: PhantomConfig, seed: int | None = None):
     """A list of (image, labels) cubes; cube i uses seed base_seed + i."""
     base = cfg.seed if seed is None else seed
-    out = []
-    for i in range(count):
-        sub = PhantomConfig(
-            extents=cfg.extents, tube_count=cfg.tube_count,
-            radius_range=cfg.radius_range, foreground=cfg.foreground,
-            background=cfg.background, noise_sigma=cfg.noise_sigma,
-            impulse_fraction=cfg.impulse_fraction, gap_count=cfg.gap_count,
-            gap_length=cfg.gap_length, seed=base + i)
-        out.append(generate_phantom(sub))
-    return out
+    return [generate_phantom(replace(cfg, seed=base + i)) for i in range(count)]

@@ -7,11 +7,13 @@ cubes shaped (n_cubes, d, m, n); y holds the matching binary label cubes.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .arch import NetworkSpec, WAVELET_STRUCTURES
 from .pipeline import segment_volume
-from .train import TrainConfig, evaluate_iou, fit
+from .train import TrainConfig, argmax_batches, evaluate_iou, fit
 
 
 def _check_cube_stack(X, name: str = "X") -> np.ndarray:
@@ -22,38 +24,37 @@ def _check_cube_stack(X, name: str = "X") -> np.ndarray:
 
 
 class WaveUNetSegmenter:
-    """Volumetric segmentation estimator wrapping one of the seven networks."""
+    """Volumetric segmentation estimator wrapping one of the seven networks.
 
-    _PARAM_NAMES = ("arch", "wavelet", "epochs", "base_lr", "momentum",
-                    "weight_decay", "batch_size", "class_weights", "poly_power",
-                    "seed", "val_fraction", "shrink_threshold")
+    Its parameters are `arch`, `wavelet` and `shrink_threshold` for the
+    network plus every `TrainConfig` field, all keywords; the training
+    defaults are `TrainConfig`'s except for a shorter schedule of 10 epochs
+    at batch size 4.
+    """
 
-    def __init__(self, arch: str = "DIDn", wavelet: str | None = "haar",
-                 epochs: int = 10, base_lr: float = 0.1, momentum: float = 0.9,
-                 weight_decay: float = 0.0001, batch_size: int = 4,
-                 class_weights: tuple = (1.0, 5.0), poly_power: float = 0.9,
-                 seed: int = 0, val_fraction: float = 0.1,
-                 shrink_threshold: float = 0.25):
-        self.arch = arch
-        self.wavelet = wavelet
-        self.epochs = epochs
-        self.base_lr = base_lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.batch_size = batch_size
-        self.class_weights = class_weights
-        self.poly_power = poly_power
-        self.seed = seed
-        self.val_fraction = val_fraction
-        self.shrink_threshold = shrink_threshold
+    _DEFAULTS = {
+        "arch": "DIDn",
+        "wavelet": "haar",
+        "shrink_threshold": NetworkSpec.__dataclass_fields__["shrink_threshold"].default,
+        **{f.name: getattr(TrainConfig(), f.name) for f in fields(TrainConfig)},
+        "epochs": 10,
+        "batch_size": 4,
+    }
+
+    def __init__(self, **params):
+        unknown = sorted(set(params) - self._DEFAULTS.keys())
+        if unknown:
+            raise TypeError(f"invalid parameters {unknown} for WaveUNetSegmenter")
+        for name, default in self._DEFAULTS.items():
+            setattr(self, name, params.get(name, default))
 
     # -- sklearn plumbing ----------------------------------------------------
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {name: getattr(self, name) for name in self._DEFAULTS}
 
     def set_params(self, **params) -> "WaveUNetSegmenter":
         for key, val in params.items():
-            if key not in self._PARAM_NAMES:
+            if key not in self._DEFAULTS:
                 raise ValueError(f"invalid parameter {key!r} for WaveUNetSegmenter")
             setattr(self, key, val)
         return self
@@ -69,11 +70,7 @@ class WaveUNetSegmenter:
         y = _check_cube_stack(np.asarray(y), "y")
         if X.shape != y.shape:
             raise ValueError(f"X and y shapes differ: {X.shape} vs {y.shape}")
-        cfg = TrainConfig(
-            epochs=self.epochs, base_lr=self.base_lr, momentum=self.momentum,
-            weight_decay=self.weight_decay, batch_size=self.batch_size,
-            class_weights=tuple(self.class_weights), poly_power=self.poly_power,
-            seed=self.seed, val_fraction=self.val_fraction)
+        cfg = TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
         dataset = [(X[i], y[i]) for i in range(X.shape[0])]
         result = fit(self._spec(), dataset, cfg, out_dir=out_dir)
         self.network_ = result.network
@@ -90,10 +87,8 @@ class WaveUNetSegmenter:
         X = _check_cube_stack(X)
         out = np.empty(X.shape, dtype=np.uint8)
         bs = max(1, self.batch_size)
-        for start in range(0, X.shape[0], bs):
-            chunk = X[start:start + bs].astype(self.network_.dtype)[:, None]
-            logits = self.network_.forward(chunk, training=False).data
-            out[start:start + bs] = np.argmax(logits, axis=1).astype(np.uint8)
+        for start, pred in zip(range(0, X.shape[0], bs), argmax_batches(self.network_, X, bs)):
+            out[start:start + bs] = pred
         return out
 
     def predict_volume(self, volume, cube_shape=(32, 128, 128), workers: int = 1):

@@ -181,22 +181,30 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
     return SegmentationResult(labels, prov, logits_map)
 
 
+def iou_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Voxel counts of two binary volumes as a (2, 2) int64 array: row c
+    holds class c's (intersection, union)."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    check_same_shape(pred, truth, "pred and truth")
+    counts = np.empty((2, 2), dtype=np.int64)
+    for cls in (0, 1):
+        p = pred == cls
+        t = truth == cls
+        counts[cls] = np.count_nonzero(p & t), np.count_nonzero(p | t)
+    return counts
+
+
+def iou_from_counts(counts: np.ndarray) -> tuple[float, float, float]:
+    """`iou`'s three scores from `iou_counts` rows, summed over any cubes."""
+    scores = [1.0 if union == 0 else inter / union for inter, union in counts]
+    return float(scores[0]), float(scores[1]), float((scores[0] + scores[1]) / 2.0)
+
+
 def iou(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
     """(background IoU, foreground IoU, mean IoU) of two binary volumes.
 
     A class absent from both volumes scores 1.0; the mean is the unweighted
     two-class average.
     """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    check_same_shape(pred, truth, "pred and truth")
-    scores = []
-    for cls in (0, 1):
-        p = pred == cls
-        t = truth == cls
-        union = np.count_nonzero(p | t)
-        if union == 0:
-            scores.append(1.0)
-        else:
-            scores.append(np.count_nonzero(p & t) / union)
-    return float(scores[0]), float(scores[1]), float((scores[0] + scores[1]) / 2.0)
+    return iou_from_counts(iou_counts(pred, truth))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from .arch import Network, NetworkSpec, build
 from .errors import NonFiniteGradientError, NonFiniteLossError
 from .nn.autograd import GradientTape, Tensor, as_tensor, backward, record, wants_grad
 from .nn.checkpoint import save_state
+from .pipeline import iou_counts, iou_from_counts
 
 
 @dataclass(frozen=True)
@@ -137,29 +139,23 @@ def _as_pair(item):
     return img, lbl
 
 
-def _iou_counts(pred: np.ndarray, truth: np.ndarray, inter: np.ndarray,
-                union: np.ndarray) -> None:
-    for cls in (0, 1):
-        p = pred == cls
-        t = truth == cls
-        inter[cls] += np.count_nonzero(p & t)
-        union[cls] += np.count_nonzero(p | t)
+def argmax_batches(network: Network, images, batch_size: int):
+    """Yield the argmax label cubes of `images`, forwarded `batch_size` at a
+    time in eval mode, one (batch, z, y, x) array per batch."""
+    for start in range(0, len(images), batch_size):
+        chunk = images[start : start + batch_size]
+        x = np.stack([np.asarray(img, dtype=network.dtype) for img in chunk])[:, None]
+        yield np.argmax(network.forward(x, training=False).data, axis=1)
 
 
 def evaluate_iou(network: Network, cubes, batch_size: int = 4) -> tuple[float, float, float]:
     """Aggregate per-class IoU of argmax predictions over (image, label) cubes."""
-    inter = np.zeros(2, dtype=np.int64)
-    union = np.zeros(2, dtype=np.int64)
     items = [_as_pair(c) for c in cubes]
-    for start in range(0, len(items), batch_size):
-        chunk = items[start : start + batch_size]
-        x = np.stack([np.asarray(img, dtype=network.dtype) for img, _ in chunk])[:, None]
-        logits = network.forward(x, training=False).data
-        pred = np.argmax(logits, axis=1)
-        for k, (_, lbl) in enumerate(chunk):
-            _iou_counts(pred[k], np.asarray(lbl), inter, union)
-    ious = [1.0 if union[c] == 0 else inter[c] / union[c] for c in (0, 1)]
-    return float(ious[0]), float(ious[1]), float((ious[0] + ious[1]) / 2.0)
+    counts = np.zeros((2, 2), dtype=np.int64)
+    preds = argmax_batches(network, [img for img, _ in items], batch_size)
+    for (_, lbl), pred in zip(items, itertools.chain.from_iterable(preds)):
+        counts += iou_counts(pred, lbl)
+    return iou_from_counts(counts)
 
 
 def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
@@ -205,9 +201,8 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
         metrics_path = out_dir / "metrics.log"
         metrics_fh = open(metrics_path, "w")
         metrics_fh.write("# epoch\titeration\tlr\tloss\tbg_iou\tfg_iou\tmean_iou\n")
-        metrics_fh.write(f"# arch={spec.dual_structure} wavelet={spec.wavelet or 'none'} "
-                         f"seed={cfg.seed} poly_power={cfg.poly_power} "
-                         f"weights={cfg.class_weights} batch={cfg.batch_size}\n")
+        metrics_fh.write("# " + " ".join(f"{key}={val}" for key, val in
+                                         {**spec.to_config(), **asdict(cfg)}.items()) + "\n")
 
     weights = np.asarray(cfg.class_weights, dtype=np.float64)
     history: list[EpochStats] = []
@@ -259,13 +254,7 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
 
             if out_dir is not None:
                 ckpt = out_dir / f"epoch_{epoch:03d}.ckpt"
-                meta = {
-                    "arch": spec.dual_structure,
-                    "wavelet": spec.wavelet or "none",
-                    "epoch": str(epoch),
-                    "seed": str(cfg.seed),
-                    "shrink_threshold": str(spec.shrink_threshold),
-                }
+                meta = {**spec.to_config(), "epoch": str(epoch), "seed": str(cfg.seed)}
                 save_state(ckpt, network.state_dict(), meta)
                 checkpoints.append(str(ckpt))
     finally:

@@ -25,20 +25,26 @@ def test_spec_wavelet_rules():
         NetworkSpec(dual_structure="XX")
 
 
-def test_branch_payload_mapping():
-    expect = {"PU": "pool_indices", "PDc": "skip_copy", "ScIn": "skip_copy",
-              "DDc": "skip_copy", "DIn": "skip_copy", "DI": "high_frequency",
-              "DIDn": "high_frequency_denoised"}
-    for kind, payload in expect.items():
-        assert paper_spec(kind).branch_payload == payload
-
-
 def test_config_text_roundtrip():
     spec = paper_spec("DIDn", "ch4.4")
     again = NetworkSpec.from_config_text(spec.to_config_text())
     assert again == spec
     spec = paper_spec("PU")
     assert NetworkSpec.from_config_text(spec.to_config_text()) == spec
+    spec = NetworkSpec(dual_structure="DI", wavelet="db2", levels=3,
+                       encoder_channels=((1, 3), (3, 5), (5, 6)), bottom_channels=(7, 6),
+                       decoder_channels=((9, 5), (7, 3), (4, 2)), classes=3,
+                       shrink_threshold=0.1)
+    assert NetworkSpec.from_config_text(spec.to_config_text()) == spec
+
+
+@pytest.mark.parametrize("text, message", [
+    ("wavelet=haar\n", "no dual_structure"),
+    ("dual_structure=PU\nencoder_channel=1,4;4,8;8,16;16,32\n", "encoder_channel"),
+])
+def test_config_text_rejects_missing_and_unknown_keys(text, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkSpec.from_config_text(text)
 
 
 @pytest.mark.parametrize("kind", DUAL_STRUCTURES)

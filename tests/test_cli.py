@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from wavecube.arch import NetworkSpec, build, paper_spec
 from wavecube.cli import main
-from wavecube.data import read_volume, write_volume
+from wavecube.data import PhantomConfig, generate_phantom_dataset, read_volume, write_volume
 from wavecube.filters import SUBBAND_TAGS, builtin_bank
+from wavecube.nn import save_state
+from wavecube.pipeline import segment_volume
+from wavecube.train import TrainConfig, fit
 from wavecube.transform import dwt3
 
 
@@ -87,6 +91,17 @@ def test_describe_wavelet_required_for_wavelet_arch(capsys):
     assert main(["describe", "--arch", "DIDn"]) == 1
 
 
+@pytest.mark.parametrize("config", [
+    "wavelet=haar\nlevels=4\n",
+    "dual_structure=PU\nencoder_channel=1,4;4,8;8,16;16,32\n",
+])
+def test_describe_bad_config_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "net.cfg"
+    path.write_text(config)
+    assert main(["describe", "--config", str(path)]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_gen_phantom_deterministic(tmp_path, capsys):
     out1 = tmp_path / "d1"
     out2 = tmp_path / "d2"
@@ -150,6 +165,34 @@ def test_train_and_segment_cli(tmp_path, capsys):
     seg = read_volume(seg_out)
     assert seg.shape == (20, 20, 20)
     assert set(np.unique(seg)) <= {0, 1}
+
+
+def test_segment_rebuilds_spec_from_checkpoint(tmp_path, capsys):
+    spec = NetworkSpec(dual_structure="DIDn", wavelet="db2", levels=3,
+                       encoder_channels=((1, 3), (3, 5), (5, 6)), bottom_channels=(7, 6),
+                       decoder_channels=((9, 5), (7, 3), (4, 2)), shrink_threshold=0.1)
+    cubes = generate_phantom_dataset(2, PhantomConfig(extents=(16, 16, 16), tube_count=2,
+                                                      radius_range=(3.0, 5.0), seed=3))
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0, val_fraction=0.0)
+    result = fit(spec, cubes, cfg, out_dir=tmp_path / "run")
+    volume = np.random.default_rng(5).random((20, 20, 20)).astype(np.float32)
+    vol, seg_out = tmp_path / "big.nvol", tmp_path / "seg.nvol"
+    write_volume(vol, volume)
+    assert main(["segment", "--ckpt", result.checkpoints[-1], "--in", str(vol),
+                 "--out", str(seg_out), "--cube-shape", "16x16x16"]) == 0
+    expect = segment_volume(volume, result.network, (16, 16, 16)).labels
+    seg = read_volume(seg_out)
+    assert seg.shape == expect.shape and seg.tobytes() == expect.tobytes()
+
+
+def test_segment_checkpoint_without_spec_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "old.ckpt"
+    save_state(ckpt, build(paper_spec("PU")).state_dict(), {"arch": "PU", "epoch": "1"})
+    vol = tmp_path / "big.nvol"
+    write_volume(vol, np.zeros((16, 16, 16), dtype=np.float32))
+    assert main(["segment", "--ckpt", str(ckpt), "--in", str(vol),
+                 "--out", str(tmp_path / "seg.nvol"), "--cube-shape", "16x16x16"]) == 2
+    assert "data error:" in capsys.readouterr().err
 
 
 def test_train_nonfinite_loss_exits_3(tmp_path, capsys):

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from wavecube.data import PhantomConfig, generate_phantom_dataset
 from wavecube.estimator import WaveUNetSegmenter
+from wavecube.train import TrainConfig
 
 
 def _cube_stack(n=6, extents=(16, 32, 32)):
@@ -22,6 +25,13 @@ def test_get_set_params_roundtrip():
     assert est.set_params() is est
     with pytest.raises(ValueError):
         est.set_params(bogus=1)
+
+
+def test_params_are_spec_keys_plus_train_config_fields():
+    names = {"arch", "wavelet", "shrink_threshold"} | {f.name for f in fields(TrainConfig)}
+    assert set(WaveUNetSegmenter().get_params()) == names
+    with pytest.raises(TypeError):
+        WaveUNetSegmenter(bogus=1)
 
 
 def test_clone_compatible_param_cycle():

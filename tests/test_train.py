@@ -170,7 +170,7 @@ def test_fit_writes_checkpoints_and_metrics(tmp_path):
 
     from wavecube.nn import load_state
     state, meta = load_state(result.checkpoints[-1])
-    assert meta["arch"] == "DIDn" and meta["wavelet"] == "haar"
+    assert meta["dual_structure"] == "DIDn" and meta["wavelet"] == "haar"
     got = dict(result.network.state_dict())
     assert all(state[k].tobytes() == got[k].tobytes() for k in state)
 
