@@ -10,11 +10,9 @@ from .train import TrainConfig, fit, poly_lr, sgd_step, weighted_cross_entropy
 from .transform import (
     ShrinkConfig,
     SubbandSet,
-    downsample2,
     dwt3,
     hard_shrink,
     idwt3,
-    upsample2,
 )
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "builtin_bank",
     "count_parameters",
     "describe",
-    "downsample2",
     "dwt3",
     "fit",
     "hard_shrink",
@@ -41,7 +38,6 @@ __all__ = [
     "segment_volume",
     "sgd_step",
     "tensor_filters",
-    "upsample2",
     "validate_bank",
     "weighted_cross_entropy",
     "__version__",

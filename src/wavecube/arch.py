@@ -12,7 +12,8 @@ Variants (down-sampling / up-sampling / branch payload):
 Each level runs two conv-BN-ReLU blocks before down-sampling (encoder) and
 after up-sampling (decoder); a two-block bottom sits at 1/2^levels
 resolution; a 1x1x1 convolution maps the last decoder output to class
-logits.
+logits.  Each block is one recorded op (`ConvBNReLU`, `F.conv_bn_relu`)
+that folds BN into the conv in eval mode.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import IndivisibleExtentError
+from .errors import IndivisibleExtentError, StateMismatchError
 from .filters import FilterBank, builtin_bank
 from .nn.autograd import Tensor, as_tensor
 from .nn import functional as F
@@ -214,10 +215,10 @@ class Network:
         bufs = dict(self.named_buffers())
         unknown = sorted(set(state) - own.keys() - bufs.keys())
         if unknown:
-            raise KeyError(f"unknown state entries {unknown}")
+            raise StateMismatchError(f"unknown state entries {unknown}")
         missing = sorted((own.keys() | bufs.keys()) - set(state))
         if missing:
-            raise KeyError(f"state is missing entries {missing}")
+            raise StateMismatchError(f"state is missing entries {missing}")
         for path, arr in state.items():
             have = own[path].data.shape if path in own else bufs[path].shape
             if np.shape(arr) != have:

@@ -29,6 +29,13 @@ class IndivisibleExtentError(WavecubeError):
     """Network input extents are not divisible by 2**levels."""
 
 
+class StateMismatchError(WavecubeError, KeyError):
+    """A state to load names entries the network lacks, or lacks entries it
+    has.  Also a `KeyError`, the exception of a missing mapping key."""
+
+    __str__ = WavecubeError.__str__  # the message as given, not KeyError's repr
+
+
 class TapeConsumedError(WavecubeError):
     """backward() was called twice on the same gradient tape."""
 

@@ -4,6 +4,7 @@ from .functional import (
     batchnorm,
     concat_channels,
     conv3,
+    conv_bn_relu,
     deconv3,
     dwt_layer,
     hard_shrink_layer,
@@ -22,8 +23,8 @@ from .layers import BatchNorm3, Conv3, ConvBNReLU, Deconv2, Layer, SConv2
 __all__ = [
     "BatchNorm3", "Conv3", "ConvBNReLU", "Deconv2", "GradientTape", "Layer",
     "SConv2", "Tensor", "as_tensor", "backward", "batchnorm",
-    "concat_channels", "conv3", "deconv3", "dwt_layer", "hard_shrink_layer",
-    "idwt_layer", "interpolate2", "load_state", "maxpool2_with_indices",
-    "maxunpool2", "relu", "save_state", "sconv2", "tensor_add", "tensor_dot",
-    "tensor_sum",
+    "concat_channels", "conv3", "conv_bn_relu", "deconv3", "dwt_layer",
+    "hard_shrink_layer", "idwt_layer", "interpolate2", "load_state",
+    "maxpool2_with_indices", "maxunpool2", "relu", "save_state", "sconv2",
+    "tensor_add", "tensor_dot", "tensor_sum",
 ]

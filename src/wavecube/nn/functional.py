@@ -19,6 +19,14 @@ from ..transform import _forward3, _inverse3
 from .autograd import Tensor, as_tensor, record, wants_grad
 
 
+_AXES = (0, 2, 3, 4)  # every axis but channels
+
+
+def _col(v: np.ndarray) -> np.ndarray:
+    """A per-channel vector shaped to broadcast over (B, C, z, y, x)."""
+    return v[None, :, None, None, None]
+
+
 def _check_5d(x: Tensor, name: str = "input") -> None:
     if x.data.ndim != 5:
         raise ShapeMismatchError(f"{name} must be 5D (b, c, z, y, x), got {x.data.shape}")
@@ -130,22 +138,60 @@ def _correlate(a: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
     return grid.crop(out)
 
 
+def _correlate_adjoint(a: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray,
+                       want_a: bool, want_w: bool):
+    """Gradients (ga, gw) of `_correlate(a, w, pad)` for the cotangent `g`,
+    None where not wanted.  `ga` is `_correlate` of `g` with the flipped,
+    (Co, Ci)-transposed kernel; `gw` gathers the padded input again, block
+    by block, so nothing beyond `a` has to be kept from the forward."""
+    co, ci, k = w.shape[:3]
+    ga = gw = None
+    if want_w:
+        grid = _FlatGrid(a, pad, k)
+        gflat = grid.uncrop(g)
+        gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, grid.flat))
+        for bi, start, stop, cols in grid.blocks():
+            g_t = gflat[bi, :, start:stop].T
+            for l in range(k):
+                gw[l] += cols[:, l:l + stop - start] @ g_t
+        gw = np.ascontiguousarray(gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0))
+    if want_a:
+        w_adj = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        ga = _correlate(g, w_adj, k - 1 - pad)
+    return ga, gw
+
+
+def _conv3_backward(x: Tensor, weight: Tensor, bias: Tensor | None, pad: int,
+                    g: np.ndarray) -> None:
+    """Accumulate the gradients of `_correlate(x, weight, pad) + bias` for the
+    cotangent `g` into whichever of the three want one."""
+    if bias is not None and wants_grad(bias):
+        bias._accumulate(g.sum(axis=_AXES))
+    gx, gw = _correlate_adjoint(x.data, weight.data, pad, g, wants_grad(x), wants_grad(weight))
+    if gw is not None:
+        weight._accumulate(gw)
+    if gx is not None:
+        x._accumulate(gx)
+
+
+def _check_conv3_input(x: Tensor, weight: Tensor, op: str) -> None:
+    _check_5d(x)
+    ci = weight.data.shape[1]
+    if x.data.shape[1] != ci:
+        raise ChannelMismatchError(f"{op} expected {ci} input channels, got {x.data.shape[1]}")
+
+
 def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
           padding: int | None = None) -> Tensor:
     """3D convolution; kernel is cubic, default padding keeps extents (stride 1)
     or halves them exactly (stride 2, even inputs).
 
     Stride 2 is the stride-1 result subsampled at even positions; its adjoint
-    zero-inserts the cotangent and runs the stride-1 adjoint.  The backward
-    keeps nothing beyond `x` and `weight`: the input gradient is `_correlate`
-    of the cotangent with the flipped, (Co, Ci)-transposed kernel, and the
-    weight gradient gathers the padded input again, block by block."""
+    zero-inserts the cotangent and runs the stride-1 adjoint,
+    `_correlate_adjoint`, which keeps nothing beyond `x` and `weight`."""
     x = as_tensor(x)
-    _check_5d(x)
-    co, ci, k = weight.data.shape[0], weight.data.shape[1], weight.data.shape[2]
-    if x.data.shape[1] != ci:
-        raise ChannelMismatchError(
-            f"conv3 expected {ci} input channels, got {x.data.shape[1]}")
+    _check_conv3_input(x, weight, "conv3")
+    k = weight.data.shape[2]
     if padding is None:
         padding = (k - 1) // 2
     if stride == 2:
@@ -163,25 +209,11 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     def adjoint(grads):
         g = grads[0]
-        if bias is not None and wants_grad(bias):
-            bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
         if stride == 2:
             g1 = np.zeros(g.shape[:2] + full_sp, dtype=g.dtype)
             g1[:, :, ::2, ::2, ::2] = g
             g = g1
-        if wants_grad(weight):
-            grid = _FlatGrid(x.data, padding, k)
-            gflat = grid.uncrop(g)
-            gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, grid.flat))
-            for bi, start, stop, cols in grid.blocks():
-                g_t = gflat[bi, :, start:stop].T
-                for l in range(k):
-                    gw[l] += cols[:, l:l + stop - start] @ g_t
-            gw = gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0)
-            weight._accumulate(np.ascontiguousarray(gw))
-        if wants_grad(x):
-            w_adj = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            x._accumulate(_correlate(g, w_adj, k - 1 - padding))
+        _conv3_backward(x, weight, bias, padding, g)
 
     record(result, adjoint)
     return result
@@ -257,6 +289,54 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # normalization / activation / combination
 # ---------------------------------------------------------------------------
 
+def _batch_stats(a: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+                 momentum: float):
+    """Per-channel batch mean and variance of `a`; folds them (the variance
+    unbiased) into the running buffers in place."""
+    mu = a.mean(axis=_AXES)
+    var = a.var(axis=_AXES)
+    count = a.size // a.shape[1]
+    unbias = count / max(count - 1, 1)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var * unbias
+    return mu, var
+
+
+def _normalize(a: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """BN's normalized input (a - mu) * inv_std, per channel, in a new array."""
+    xhat = a - _col(mu)
+    xhat *= _col(inv_std)
+    return xhat
+
+
+def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, beta: Tensor,
+                       inv_std: np.ndarray, training: bool, want_x: bool):
+    """BN's backward for the cotangent `g` of gamma*xhat + beta: accumulates
+    into gamma and beta and returns the input gradient (None unless
+    `want_x`).  In training the gradient also flows through the batch
+    statistics: gx = gamma*inv_std * (g - (g_beta + xhat*g_gamma) / count),
+    with g_beta and g_gamma the two parameter gradients."""
+    g_beta = g.sum(axis=_AXES)
+    g_gamma = (g * xhat).sum(axis=_AXES)
+    if wants_grad(beta):
+        beta._accumulate(g_beta)
+    if wants_grad(gamma):
+        gamma._accumulate(g_gamma)
+    if not want_x:
+        return None
+    scale = _col(gamma.data * inv_std)
+    if not training:
+        return g * scale
+    count = g.size // g.shape[1]
+    gx = xhat * _col(g_gamma / count)
+    gx += _col(g_beta / count)
+    np.subtract(g, gx, out=gx)
+    gx *= scale
+    return gx
+
+
 def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
               running_var: np.ndarray, training: bool, momentum: float = 0.1,
               eps: float = 1e-5) -> Tensor:
@@ -267,44 +347,89 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """
     x = as_tensor(x)
     _check_5d(x)
-    axes = (0, 2, 3, 4)
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        count = x.data.size // x.data.shape[1]
-        unbias = count / max(count - 1, 1)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * unbias
+        mu, var = _batch_stats(x.data, running_mean, running_var, momentum)
     else:
         mu = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None, None]) * inv_std[None, :, None, None, None]
-    out = gamma.data[None, :, None, None, None] * xhat + beta.data[None, :, None, None, None]
-    result = Tensor(out)
+    xhat = _normalize(x.data, mu, inv_std)
+    result = Tensor(_col(gamma.data) * xhat + _col(beta.data))
 
     def adjoint(grads):
-        g = grads[0]
-        if wants_grad(beta):
-            beta._accumulate(g.sum(axis=axes))
-        if wants_grad(gamma):
-            gamma._accumulate((g * xhat).sum(axis=axes))
-        if wants_grad(x):
-            gxhat = g * gamma.data[None, :, None, None, None]
-            if training:
-                count = x.data.size // x.data.shape[1]
-                sum_g = gxhat.sum(axis=axes)
-                sum_gx = (gxhat * xhat).sum(axis=axes)
-                gx = (gxhat - (sum_g[None, :, None, None, None]
-                               + xhat * sum_gx[None, :, None, None, None]) / count)
-                gx *= inv_std[None, :, None, None, None]
-            else:
-                gx = gxhat * inv_std[None, :, None, None, None]
+        gx = _batchnorm_adjoint(grads[0], xhat, gamma, beta, inv_std, training, wants_grad(x))
+        if gx is not None:
             x._accumulate(gx)
 
     record(result, adjoint)
+    return result
+
+
+def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
+                 running_mean: np.ndarray, running_var: np.ndarray, training: bool,
+                 momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """relu(batchnorm(conv3(x, weight, bias), ...)) as one recorded op, with
+    the values, gradients and running-buffer update of that chain.
+
+    Train mode normalizes with batch statistics.  The tape keeps `x`, the
+    conv output and the per-channel statistics; the adjoint takes the ReLU
+    mask from `result > 0`, recomputes BN's normalized input from the conv
+    output, runs BN's backward and then the conv's.
+
+    Eval mode folds BN into the conv on every call, from the current
+    buffers: weight w*gamma/sigma, bias (b - mean)*gamma/sigma + beta, so a
+    newly loaded state is never stale.  Its adjoint differentiates through
+    the fold, so gradients stay exact under a tape.  ReLU runs in place on
+    the output; NaN stays NaN."""
+    x = as_tensor(x)
+    _check_conv3_input(x, weight, "conv_bn_relu")
+    pad = (weight.data.shape[2] - 1) // 2
+    if training:
+        z = _correlate(x.data, weight.data, pad)
+        z += _col(bias.data)
+        mu, var = _batch_stats(z, running_mean, running_var, momentum)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        out = _normalize(z, mu, inv_std)
+        out *= _col(gamma.data)
+        out += _col(beta.data)
+    else:
+        mu = running_mean.astype(x.data.dtype, copy=False)
+        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + eps)
+        scale = gamma.data * inv_std
+        w_fold = weight.data * scale[:, None, None, None, None]
+        out = _correlate(x.data, w_fold, pad)
+        out += _col((bias.data - mu) * scale + beta.data)
+    np.maximum(out, np.zeros((), dtype=out.dtype), out=out)
+    result = Tensor(out)
+
+    def train_adjoint(grads):
+        # result > 0 selects the same entries as relu's input > 0, NaN
+        # included; the masked cotangent and xhat are freed before the conv's
+        # backward runs
+        want_z = wants_grad(x) or wants_grad(weight) or wants_grad(bias)
+        gz = _batchnorm_adjoint(grads[0] * (result.data > 0), _normalize(z, mu, inv_std),
+                                gamma, beta, inv_std, True, want_z)
+        if gz is not None:
+            _conv3_backward(x, weight, bias, pad, gz)
+
+    def eval_adjoint(grads):
+        gy = grads[0] * (result.data > 0)
+        g_shift = gy.sum(axis=_AXES)
+        if wants_grad(beta):
+            beta._accumulate(g_shift)
+        if wants_grad(bias):
+            bias._accumulate(g_shift * scale)
+        gx, gw_fold = _correlate_adjoint(x.data, w_fold, pad, gy, wants_grad(x),
+                                         wants_grad(weight) or wants_grad(gamma))
+        if wants_grad(weight):
+            weight._accumulate(gw_fold * scale[:, None, None, None, None])
+        if wants_grad(gamma):
+            g_scale = (gw_fold * weight.data).sum(axis=(1, 2, 3, 4)) + g_shift * (bias.data - mu)
+            gamma._accumulate(g_scale * inv_std)
+        if gx is not None:
+            x._accumulate(gx)
+
+    record(result, train_adjoint if training else eval_adjoint)
     return result
 
 

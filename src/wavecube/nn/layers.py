@@ -75,6 +75,9 @@ class Deconv2(Layer):
 
 
 class BatchNorm3(Layer):
+    """Batch-norm parameters and running buffers of a `ConvBNReLU` unit,
+    which applies them; `F.batchnorm` is the stand-alone op."""
+
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
                  dtype=np.float32):
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
@@ -84,17 +87,18 @@ class BatchNorm3(Layer):
         self.momentum = momentum
         self.eps = eps
 
-    def forward(self, x, training: bool):
-        return F.batchnorm(x, self.gamma, self.beta, self.running_mean,
-                           self.running_var, training, self.momentum, self.eps)
-
 
 class ConvBNReLU(Layer):
-    """The network body unit: convolution + batch norm + ReLU."""
+    """The network body unit: convolution + batch norm + ReLU, run as one
+    recorded op (`F.conv_bn_relu`).  Training keeps only the input, the conv
+    output and the batch statistics for the backward; eval mode folds BN
+    into the conv weights and bias from the current buffers."""
 
     def __init__(self, c_in: int, c_out: int, rng=None, dtype=np.float32):
         self.conv = Conv3(c_in, c_out, rng=rng, dtype=dtype)
         self.bn = BatchNorm3(c_out, dtype=dtype)
 
     def forward(self, x, training: bool):
-        return F.relu(self.bn.forward(self.conv.forward(x), training))
+        conv, bn = self.conv, self.bn
+        return F.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
+                              bn.running_var, training, bn.momentum, bn.eps)

@@ -165,21 +165,6 @@ def idwt3(s: SubbandSet, bank: FilterBank) -> np.ndarray:
     return _inverse3(s.coeffs, bank.lo_rec, bank.hi_rec)
 
 
-def downsample2(x: np.ndarray) -> np.ndarray:
-    """Keep every second voxel: out[i,j,k] = x[2i,2j,2k], extents floor-halved."""
-    d, m, n = x.shape[-3:]
-    return np.ascontiguousarray(
-        x[..., 0 : 2 * (d // 2) : 2, 0 : 2 * (m // 2) : 2, 0 : 2 * (n // 2) : 2])
-
-
-def upsample2(x: np.ndarray) -> np.ndarray:
-    """Double every extent, placing x on the even lattice and zeros elsewhere."""
-    d, m, n = x.shape[-3:]
-    out = np.zeros(x.shape[:-3] + (2 * d, 2 * m, 2 * n), dtype=x.dtype)
-    out[..., ::2, ::2, ::2] = x
-    return out
-
-
 def hard_shrink_array(x: np.ndarray, threshold: float) -> np.ndarray:
     """Zero every coefficient with |x| <= threshold (strict keep outside);
     NaN is kept."""

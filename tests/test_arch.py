@@ -11,6 +11,9 @@ from wavecube.arch import (
     paper_spec,
 )
 from wavecube.errors import IndivisibleExtentError
+from wavecube.nn import GradientTape
+from wavecube.nn.layers import ConvBNReLU
+from wavecube.train import weighted_cross_entropy
 
 WAVELET_KINDS = ("DDc", "DIn", "DI", "DIDn")
 PLAIN_KINDS = ("PU", "PDc", "ScIn")
@@ -187,3 +190,44 @@ def test_load_state_dict_rejects_scalar_buffer():
     with pytest.raises(ValueError, match="running_mean"):
         net.load_state_dict(state)
     np.testing.assert_array_equal(net.enc[0][0].bn.running_mean, 0.0)
+
+
+def test_conv_bn_relu_unit_records_once():
+    unit = ConvBNReLU(2, 3, np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((2, 2, 4, 4, 4)).astype(np.float32)
+    for training in (True, False):
+        with GradientTape() as tape:
+            unit.forward(x, training)
+        assert len(tape) == 1
+
+
+@pytest.mark.parametrize("kind,wavelet,shape,records", [
+    ("DIDn", "haar", (4, 1, 16, 64, 64), 32),
+    ("PU", None, (1, 1, 16, 32, 32), 28),
+])
+def test_tape_records_per_training_step(kind, wavelet, shape, records):
+    # 18 conv-BN-ReLU units record once each; the rest is resampling, the
+    # head and the loss
+    net = build(paper_spec(kind, wavelet), seed=3)
+    local = np.random.default_rng(4)
+    x = local.standard_normal(shape).astype(np.float32)
+    labels = local.integers(0, 2, (shape[0],) + shape[2:])
+    with GradientTape() as tape:
+        weighted_cross_entropy(net(x, training=True), labels, (1.0, 1.0))
+    assert len(tape) == records
+
+
+def test_eval_forward_reads_bn_buffers_loaded_after_an_earlier_forward():
+    net = build(paper_spec("DIDn", "haar"), seed=5)
+    _randomize_head(net, seed=6)
+    x = np.random.default_rng(7).standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
+    before = net(x).data
+    state = dict(net.state_dict())
+    state["enc1.block1.bn.running_mean"] = state["enc1.block1.bn.running_mean"] + 0.5
+    state["dec4.block2.bn.running_var"] = state["dec4.block2.bn.running_var"] * 3.0
+    net.load_state_dict(state)
+    fresh = build(paper_spec("DIDn", "haar"), seed=99)
+    fresh.load_state_dict(state)
+    after = net(x).data
+    assert not np.allclose(after, before)
+    assert after.tobytes() == fresh(x).data.tobytes()

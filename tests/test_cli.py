@@ -195,6 +195,22 @@ def test_segment_checkpoint_without_spec_exits_2(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+def test_segment_checkpoint_weights_not_matching_spec_exits_2(tmp_path, capsys):
+    # four-level weights under a three-level spec: enc4/dec4 entries are unknown
+    spec = NetworkSpec(dual_structure="PU", levels=3,
+                       encoder_channels=((1, 4), (4, 8), (8, 16)), bottom_channels=(16, 16),
+                       decoder_channels=((16, 8), (8, 4), (4, 4)))
+    ckpt = tmp_path / "mixed.ckpt"
+    save_state(ckpt, build(paper_spec("PU")).state_dict(), {**spec.to_config(), "epoch": "1"})
+    vol = tmp_path / "big.nvol"
+    write_volume(vol, np.zeros((16, 16, 16), dtype=np.float32))
+    assert main(["segment", "--ckpt", str(ckpt), "--in", str(vol),
+                 "--out", str(tmp_path / "seg.nvol"), "--cube-shape", "16x16x16"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.splitlines()[-1].startswith("data error: unknown state entries")
+    assert "enc4.block1.conv.weight" in err and "Traceback" not in err
+
+
 def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
     data_dir = tmp_path / "cubes"
     assert main(["gen-phantom", "--out", str(data_dir), "--count", "2",

@@ -17,6 +17,7 @@ from wavecube.nn import (
     batchnorm,
     concat_channels,
     conv3,
+    conv_bn_relu,
     deconv3,
     dwt_layer,
     hard_shrink_layer,
@@ -300,6 +301,110 @@ def test_conv3_spanning_several_gather_blocks(stride):
     # the loss is linear in x and in w: <grad, argument> equals the loss
     assert float((x.grad * x0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
     assert float((w.grad * w0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
+
+
+# -- fused conv-BN-ReLU ---------------------------------------------------------
+
+CBR_PARAMS = ("weight", "bias", "gamma", "beta")
+
+
+def cbr_case(seed, dtype=np.float64):
+    """Input, parameters, BN buffers and a cotangent probe for a 3 -> 4 unit."""
+    local = np.random.default_rng(seed)
+    x = local.standard_normal((2, 3, 4, 6, 8)).astype(dtype)
+    params = {"weight": 0.3 * local.standard_normal((4, 3, 3, 3, 3)),
+              "bias": local.standard_normal(4),
+              "gamma": local.uniform(0.5, 1.5, 4),
+              "beta": local.normal(0.0, 0.5, 4)}
+    params = {k: v.astype(dtype) for k, v in params.items()}
+    buffers = (local.normal(0.0, 0.1, 4).astype(dtype), local.uniform(0.5, 1.5, 4).astype(dtype))
+    probe = local.standard_normal((2, 4, 4, 6, 8)).astype(dtype)
+    return x, params, buffers, probe
+
+
+def cbr_forward(fused, x, p, buffers, training):
+    """The fused op, or the conv3 -> batchnorm -> relu chain it replaces."""
+    if fused:
+        return conv_bn_relu(x, p["weight"], p["bias"], p["gamma"], p["beta"], *buffers, training)
+    return relu(batchnorm(conv3(x, p["weight"], p["bias"]), p["gamma"], p["beta"],
+                          *buffers, training))
+
+
+def cbr_run(fused, training, case):
+    """Output, [x, weight, bias, gamma, beta] gradients and updated buffers."""
+    x0, p0, buffers0, probe = case
+    x = Tensor(x0.copy(), requires_grad=True)
+    p = {k: Tensor(v.copy(), requires_grad=True) for k, v in p0.items()}
+    buffers = tuple(b.copy() for b in buffers0)
+    with GradientTape() as tape:
+        out = cbr_forward(fused, x, p, buffers, training)
+        loss = tensor_dot(out, probe)
+    backward(tape, loss)
+    return out.data, [x.grad] + [p[k].grad for k in CBR_PARAMS], list(buffers)
+
+
+def assert_close_rel(got, want, tol):
+    """Largest difference within tol of the largest magnitude."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    scale = max(float(np.abs(want).max()), np.finfo(want.dtype).tiny)
+    assert float(np.abs(got - want).max()) <= tol * scale
+
+
+@pytest.mark.parametrize("training,dtype,tol", [(True, np.float64, 1e-12),
+                                                (True, np.float32, 1e-6),
+                                                (False, np.float64, 1e-12)])
+def test_conv_bn_relu_matches_chain(training, dtype, tol):
+    case = cbr_case(31, dtype)
+    got_out, got_grads, got_bufs = cbr_run(True, training, case)
+    want_out, want_grads, want_bufs = cbr_run(False, training, case)
+    assert_close_rel(got_out, want_out, tol)
+    for got, want in zip(got_grads + got_bufs, want_grads + want_bufs):
+        assert_close_rel(got, want, tol)
+    if training:  # the update is the same as batchnorm's
+        assert not np.array_equal(got_bufs[0], case[2][0])
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_gradients_match_finite_differences(training):
+    x0, p0, buffers0, probe = case = cbr_case(32)
+    _, grads, _ = cbr_run(True, training, case)
+
+    def loss(x, p):
+        buffers = tuple(b.copy() for b in buffers0)
+        out = cbr_forward(True, Tensor(x), {k: Tensor(v) for k, v in p.items()}, buffers,
+                          training)
+        return float(tensor_dot(out, probe).data)
+
+    local = np.random.default_rng(33)
+    x_idxs = [tuple(local.integers(0, s) for s in x0.shape) for _ in range(12)]
+    checks = [(grads[0], numeric_grad(lambda a: loss(a, p0), x0, x_idxs))]
+    for name, grad in zip(CBR_PARAMS, grads[1:]):
+        fd = numeric_grad(lambda a: loss(x0, {**p0, name: a}), p0[name],
+                          list(np.ndindex(*p0[name].shape)))
+        checks.append((grad, fd))
+    for grad, fd in checks:
+        for idx, expect in fd.items():
+            assert abs(grad[idx] - expect) <= 1e-6 * max(abs(expect), 1.0), (idx, grad[idx], expect)
+
+
+def test_conv_bn_relu_eval_without_tape_matches_chain():
+    x0, p0, buffers, _ = cbr_case(34, np.float32)
+    p = {k: Tensor(v) for k, v in p0.items()}
+    got = cbr_forward(True, Tensor(x0), p, buffers, False).data
+    want = cbr_forward(False, Tensor(x0), p, buffers, False).data
+    assert_close_rel(got, want, 1e-6)
+    assert (got == 0).any() and (got > 0).any()
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_keeps_nan(training):
+    x0, p0, buffers, _ = cbr_case(35)
+    x0[1, 2, 1, 3, 4] = np.nan
+    p = {k: Tensor(v) for k, v in p0.items()}
+    got = cbr_forward(True, Tensor(x0), p, tuple(b.copy() for b in buffers), training).data
+    want = cbr_forward(False, Tensor(x0), p, tuple(b.copy() for b in buffers), training).data
+    assert np.isnan(got[1, :, 1, 3, 4]).all()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
 
 
 def test_dwt_layer_low_gradient_is_constant_for_sum_loss():

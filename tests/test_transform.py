@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wavecube.errors import OddExtentError, ShapeMismatchError, TooSmallError
 from wavecube.filters import SUBBAND_TAGS, builtin_bank, tensor_filters
 from wavecube.transform import (
     ShrinkConfig,
     SubbandSet,
-    downsample2,
     dwt3,
     hard_shrink,
     hard_shrink_array,
     idwt3,
-    upsample2,
 )
 
 ALL_NAMES = ("haar", "db2", "db3", "db4", "ch2.2", "ch4.4")
@@ -161,40 +157,6 @@ def test_subband_set_shape_mismatch():
     arrays["hhh"] = np.zeros((2, 2, 4))
     with pytest.raises(ShapeMismatchError):
         SubbandSet(arrays, "haar")
-
-
-# -- naive resamplers ---------------------------------------------------------
-
-def test_downsample_index_rule():
-    x = np.arange(64, dtype=np.float64).reshape(4, 4, 4)
-    d = downsample2(x)
-    assert d[1, 1, 1] == x[2, 2, 2]
-    assert d.shape == (2, 2, 2)
-
-
-def test_downsample_floor_shapes():
-    assert downsample2(np.zeros((2, 2, 2))).shape == (1, 1, 1)
-    assert downsample2(np.zeros((3, 5, 7))).shape == (1, 2, 3)
-
-
-def test_upsample_places_on_even_lattice():
-    x = np.full((1, 1, 1), 5.0)
-    u = upsample2(x)
-    assert u.shape == (2, 2, 2)
-    assert u[0, 0, 0] == 5.0
-    assert u.sum() == 5.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    d=st.integers(1, 6), m=st.integers(1, 6), n=st.integers(1, 6),
-    seed=st.integers(0, 2**31),
-)
-def test_upsample_downsample_roundtrip(d, m, n, seed):
-    x = np.random.default_rng(seed).standard_normal((d, m, n))
-    u = upsample2(x)
-    np.testing.assert_array_equal(downsample2(u), x)
-    assert u.sum() == pytest.approx(x.sum(), rel=1e-12)
 
 
 # -- hard shrinkage -----------------------------------------------------------
