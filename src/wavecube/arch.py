@@ -4,8 +4,8 @@ Variants (down-sampling / up-sampling / branch payload):
     PU    max-pool / max-unpool            pooling indices
     PDc   max-pool / deconvolution         skip copy, concatenated
     ScIn  strided conv / interpolation     skip copy, concatenated
-    DDc   DWT (keep low) / deconvolution   skip copy, concatenated
-    DIn   DWT (keep low) / interpolation   skip copy, concatenated
+    DDc   DWT low-pass / deconvolution     skip copy, concatenated
+    DIn   DWT low-pass / interpolation     skip copy, concatenated
     DI    DWT / IDWT                       high-frequency subbands
     DIDn  DWT / IDWT                       high-frequency subbands, denoised
 
@@ -80,6 +80,8 @@ class NetworkSpec:
             raise ValueError(f"{self.dual_structure} takes no wavelet")
         if len(self.encoder_channels) != self.levels or len(self.decoder_channels) != self.levels:
             raise ValueError("channel schedules must list one pair per level")
+        if self.shrink_threshold < 0:
+            raise ValueError(f"shrink_threshold must be >= 0, got {self.shrink_threshold}")
 
     def to_config(self) -> dict[str, str]:
         """Every field as `key -> text`, in declaration order."""
@@ -258,7 +260,7 @@ class Network:
                 h = self.down[i].forward(h)
             elif kind in ("DDc", "DIn"):
                 branches.append(h)
-                h, _ = F.dwt_layer(h, self.bank)
+                h = F.dwt_low_layer(h, self.bank)
             else:  # DI, DIDn
                 h, highs = F.dwt_layer(h, self.bank)
                 if kind == "DIDn":

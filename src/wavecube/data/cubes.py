@@ -20,10 +20,9 @@ class CubeRecord:
     image: np.ndarray
     label: np.ndarray
     origin: tuple[int, int, int]
-    source_id: str = ""
 
 
-def pad_to_multiple(volume: np.ndarray, cube_shape, value=0) -> np.ndarray:
+def pad_to_multiple(volume: np.ndarray, cube_shape) -> np.ndarray:
     """Zero-pad at the high end so every extent is a cube-shape multiple."""
     pads = []
     for ext, cube in zip(volume.shape, cube_shape):
@@ -31,13 +30,13 @@ def pad_to_multiple(volume: np.ndarray, cube_shape, value=0) -> np.ndarray:
         pads.append((0, target - ext))
     if all(p == (0, 0) for p in pads):
         return volume
-    return np.pad(volume, pads, constant_values=value)
+    return np.pad(volume, pads)
 
 
 def cut_cubes(image: np.ndarray, labels: np.ndarray, cube_shape=DEFAULT_CUBE_SHAPE,
               count: int = 1, seed: int = 0,
               min_foreground: float = DEFAULT_MIN_FOREGROUND,
-              retry_factor: int = 100, source_id: str = "") -> list[CubeRecord]:
+              retry_factor: int = 100) -> list[CubeRecord]:
     """Cut `count` seeded random cubes; labels are cut at identical origins.
 
     Cubes whose foreground fraction is below `min_foreground` are rejected
@@ -66,7 +65,7 @@ def cut_cubes(image: np.ndarray, labels: np.ndarray, cube_shape=DEFAULT_CUBE_SHA
         if np.count_nonzero(lbl) / cube_voxels < min_foreground:
             continue
         img = image[oz:oz + cd, oy:oy + cm, ox:ox + cn]
-        records.append(CubeRecord(img.copy(), lbl.copy(), (oz, oy, ox), source_id))
+        records.append(CubeRecord(img.copy(), lbl.copy(), (oz, oy, ox)))
     if len(records) < count:
         log.warning("cut_cubes: achieved %d of %d cubes after %d attempts "
                     "(min_foreground=%g)", len(records), count, attempts, min_foreground)

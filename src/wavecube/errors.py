@@ -9,6 +9,10 @@ class UnknownWaveletError(WavecubeError):
     """Requested wavelet name is not one of the built-in banks."""
 
 
+class WaveletMismatchError(WavecubeError):
+    """Subbands are reconstructed with a bank other than the one that made them."""
+
+
 class OddExtentError(WavecubeError):
     """A transform was asked to halve an odd spatial extent."""
 

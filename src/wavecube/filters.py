@@ -31,10 +31,6 @@ class FilterBank:
     hi_rec: np.ndarray
     orthogonal: bool
 
-    @property
-    def length(self) -> int:
-        return len(self.lo_dec)
-
 
 @dataclass(frozen=True)
 class Filter3D:
@@ -116,13 +112,12 @@ def tensor_filters(bank: FilterBank, role: str = "decomposition") -> list[Filter
 
 def _pr_residual(bank: FilterBank, n: int = 32, seed: int = 7) -> float:
     """Max abs reconstruction error of the 1D analysis/synthesis pair."""
-    from .transform import _analyze_1d, _synthesize_1d  # cycle-free at call time
+    from .transform import _analyze, _synthesize  # cycle-free at call time
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    lo, hi = _analyze_1d(x, bank.lo_dec, bank.hi_dec, -1)
-    rec = _synthesize_1d(lo, hi, bank.lo_rec, bank.hi_rec, -1)
-    return float(np.max(np.abs(rec - x)))
+    x = np.random.default_rng(seed).standard_normal((1, n))
+    s = _analyze(x, (bank.lo_dec, bank.hi_dec), -1)
+    rec = _synthesize(s, (bank.lo_rec, bank.hi_rec), -1)[0]
+    return float(np.max(np.abs(rec - x[0])))
 
 
 def validate_bank(bank: FilterBank, tol: float = 1e-10) -> ValidationReport:

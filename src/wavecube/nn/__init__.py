@@ -7,6 +7,7 @@ from .functional import (
     conv_bn_relu,
     deconv3,
     dwt_layer,
+    dwt_low_layer,
     hard_shrink_layer,
     idwt_layer,
     interpolate2,
@@ -24,7 +25,7 @@ __all__ = [
     "BatchNorm3", "Conv3", "ConvBNReLU", "Deconv2", "GradientTape", "Layer",
     "SConv2", "Tensor", "as_tensor", "backward", "batchnorm",
     "concat_channels", "conv3", "conv_bn_relu", "deconv3", "dwt_layer",
-    "hard_shrink_layer", "idwt_layer", "interpolate2", "load_state",
-    "maxpool2_with_indices", "maxunpool2", "relu", "save_state", "sconv2",
-    "tensor_add", "tensor_dot", "tensor_sum",
+    "dwt_low_layer", "hard_shrink_layer", "idwt_layer", "interpolate2",
+    "load_state", "maxpool2_with_indices", "maxunpool2", "relu", "save_state",
+    "sconv2", "tensor_add", "tensor_dot", "tensor_sum",
 ]

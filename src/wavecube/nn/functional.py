@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ChannelMismatchError, OddExtentError, ShapeMismatchError
 from ..filters import FilterBank
-from ..transform import _forward3, _inverse3
+from ..transform import _forward3, _inverse3, hard_shrink_array
 from .autograd import Tensor, as_tensor, record, wants_grad
 
 
@@ -469,17 +469,17 @@ def concat_channels(a, b) -> Tensor:
 
 
 def hard_shrink_layer(x, threshold: float) -> Tensor:
-    """Hard shrinkage as a layer: zero where |x| <= threshold, identity outside,
-    so NaN passes through as it does in `relu`.
+    """`hard_shrink_array` as a layer: zero where |x| <= threshold, identity
+    outside, so NaN passes through as it does in `relu`.
 
     Gradient passes through kept coefficients and is zero elsewhere."""
     x = as_tensor(x)
-    zero = np.abs(x.data) <= threshold
-    result = Tensor(np.where(zero, np.zeros((), dtype=x.data.dtype), x.data))
+    result = Tensor(hard_shrink_array(x.data, threshold))
 
     def adjoint(grads):
+        # threshold >= 0, so result != 0 selects exactly |x| > threshold, NaN included
         if wants_grad(x):
-            x._accumulate(np.where(zero, np.zeros((), dtype=grads[0].dtype), grads[0]))
+            x._accumulate(grads[0] * (result.data != 0))
 
     record(result, adjoint)
     return result
@@ -597,11 +597,6 @@ def interpolate2(x) -> Tensor:
 # wavelet layers
 # ---------------------------------------------------------------------------
 
-def _stack_subbands(low: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """(B, C, ...) low and (7*B, C, ...) highs -> the (8, B, C, ...) core layout."""
-    return np.concatenate([low[None], highs.reshape((-1,) + low.shape)])
-
-
 def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
     """Per-channel 3D DWT at half resolution; returns (low, highs).
 
@@ -612,16 +607,34 @@ def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "dwt_layer")
-    s = _forward3(x.data, bank.lo_dec, bank.hi_dec)
+    s = _forward3(x.data, (bank.lo_dec, bank.hi_dec))
     low = Tensor(s[0])
     highs = Tensor(s[1:].reshape((-1,) + s.shape[2:]))
 
     def adjoint(grads):
         if wants_grad(x):
-            x._accumulate(_inverse3(_stack_subbands(*grads), bank.lo_dec, bank.hi_dec))
+            g_low, g_highs = grads
+            x._accumulate(_inverse3([g_low, *g_highs.reshape((7,) + g_low.shape)],
+                                    (bank.lo_dec, bank.hi_dec)))
 
     record((low, highs), adjoint)
     return low, highs
+
+
+def dwt_low_layer(x, bank: FilterBank) -> Tensor:
+    """`dwt_layer`'s `low` alone, from the low-pass filter only: no high subband
+    is computed or kept.  Backward is synthesis with that filter alone."""
+    x = as_tensor(x)
+    _check_5d(x)
+    _check_even_spatial(x, "dwt_low_layer")
+    result = Tensor(_forward3(x.data, (bank.lo_dec,))[0])
+
+    def adjoint(grads):
+        if wants_grad(x):
+            x._accumulate(_inverse3(grads, (bank.lo_dec,)))
+
+    record(result, adjoint)
+    return result
 
 
 def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
@@ -634,10 +647,11 @@ def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
         raise ShapeMismatchError(
             f"idwt_layer highs must be {expect} for low {low.data.shape}, "
             f"got {highs.data.shape}")
-    result = Tensor(_inverse3(_stack_subbands(low.data, highs.data), bank.lo_rec, bank.hi_rec))
+    result = Tensor(_inverse3([low.data, *highs.data.reshape((7,) + low.data.shape)],
+                              (bank.lo_rec, bank.hi_rec)))
 
     def adjoint(grads):
-        gsub = _forward3(grads[0], bank.lo_rec, bank.hi_rec)
+        gsub = _forward3(grads[0], (bank.lo_rec, bank.hi_rec))
         if wants_grad(low):
             low._accumulate(gsub[0])
         if wants_grad(highs):

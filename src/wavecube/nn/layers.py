@@ -78,14 +78,11 @@ class BatchNorm3(Layer):
     """Batch-norm parameters and running buffers of a `ConvBNReLU` unit,
     which applies them; `F.batchnorm` is the stand-alone op."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
 
 class ConvBNReLU(Layer):
@@ -101,4 +98,4 @@ class ConvBNReLU(Layer):
     def forward(self, x, training: bool):
         conv, bn = self.conv, self.bn
         return F.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
-                              bn.running_var, training, bn.momentum, bn.eps)
+                              bn.running_var, training)

@@ -146,11 +146,14 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
                    workers: int = 1, retain_logits: bool = False) -> SegmentationResult:
     """Per-cube argmax segmentation of an arbitrary-extent volume.
 
-    Argmax ties resolve to the lower class index (background).  Cubes are
+    Argmax ties resolve to the lower class index (background).  Cubes run on
+    `workers` (>= 1) pool threads, never on the caller's tape, and are
     independent, so any worker count produces bitwise-identical output.
     Cube forwards run with numpy's OpenBLAS on one thread; the caller's
     thread count is restored on return, also when a cube raises.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     grid, cubes = partition(np.asarray(volume, dtype=np.float32), cube_shape)
 
     def run(item):
@@ -161,12 +164,8 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
             raise type(exc)(f"cube at origin {origin}: {exc}") from exc
         return origin, logits
 
-    with _one_blas_thread() as blas_threads:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, cubes))
-        else:
-            results = [run(item) for item in cubes]
+    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run, cubes))
 
     label_cubes = {o: np.argmax(lg, axis=0).astype(np.uint8) for o, lg in results}
     labels = assemble(grid, label_cubes)

@@ -159,8 +159,7 @@ def evaluate_iou(network: Network, cubes, batch_size: int = 4) -> tuple[float, f
 
 
 def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
-        val_dataset=None, network: Network | None = None,
-        log_fn=None) -> FitResult:
+        val_dataset=None, log_fn=None) -> FitResult:
     """Train a network on (image, label) cubes.
 
     Deterministic given cfg.seed: the same seed fixes initialization,
@@ -171,8 +170,7 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
     if not items:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(cfg.seed)
-    if network is None:
-        network = build(spec, seed=cfg.seed)
+    network = build(spec, seed=cfg.seed)
 
     if val_dataset is None:
         n_val = int(round(cfg.val_fraction * len(items)))

@@ -1,4 +1,4 @@
-"""Single-level separable 3D DWT/IDWT, naive resamplers, hard shrinkage.
+"""Single-level separable 3D DWT/IDWT and hard shrinkage.
 
 Convention (fixed package-wide): analysis is phase-0 periodic correlation
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, WaveletMismatchError
 from .filters import SUBBAND_TAGS, FilterBank
 from .validation import as_volume, check_even_extents
 
@@ -72,76 +72,80 @@ class SubbandSet:
 
 
 # ---------------------------------------------------------------------------
-# 1D primitives: polyphase form along one (negative) axis
+# one periodic polyphase pass per direction, along one (negative) axis, for
+# any filter tuple: (lo, hi) for a full level, (lo,) for the low-pass branch
 # ---------------------------------------------------------------------------
 
-def _phase(axis: int, start: int) -> tuple:
-    """Index selecting every second entry along `axis`, from `start`."""
-    return (Ellipsis, slice(start, None, 2)) + (slice(None),) * (-1 - axis)
+def _along(axis: int, index: slice) -> tuple:
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
-def _roll(a: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """np.roll without its copy for k = 0 (the only shift haar needs)."""
-    return np.roll(a, k, axis) if k else a
+def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
+    """`a` extended periodically along `axis`, by any number of entries."""
+    n = a.shape[axis]
+    return np.take(a, np.arange(-before, n + after) % n, axis=axis) if before or after else a
 
 
-def _accumulate(out: np.ndarray, terms) -> None:
-    """out += sum of coefficient * array, skipping zero coefficients."""
-    for c, a in terms:
-        if c:
-            out += c * a
+def _weighted_sum(dst: np.ndarray, terms, tmp: np.ndarray) -> None:
+    """dst = sum, in order, of c * a over the (c, a) terms with c != 0, via `tmp`."""
+    (c0, a0), *rest = [(c, a) for c, a in terms if c]
+    np.multiply(a0, c0, out=dst)
+    for c, a in rest:
+        dst += np.multiply(a, c, out=tmp)
 
 
-def _analyze_1d(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int):
-    """Periodic correlate-and-downsample along `axis`:
-    a[i] = sum_k f[2k] * x[2(i+k)] + f[2k+1] * x[2(i+k)+1]."""
-    even, odd = x[_phase(axis, 0)], x[_phase(axis, 1)]
-    lo_sub = np.zeros(even.shape, dtype=x.dtype)
-    hi_sub = np.zeros(even.shape, dtype=x.dtype)
-    for k in range(len(lo) // 2):
-        e, o = _roll(even, -k, axis), _roll(odd, -k, axis)
-        for sub, f in ((lo_sub, lo), (hi_sub, hi)):
-            _accumulate(sub, ((f[2 * k], e), (f[2 * k + 1], o)))
-    return lo_sub, hi_sub
+def _analyze(s: np.ndarray, filters, axis: int) -> np.ndarray:
+    """out[m*F + f, i] = sum_j filters[f][j] * s[m, (2i + j) mod N] along `axis`:
+    `s` extended once, by L - 2 entries, and tap j its stride-2 slice from j."""
+    n = s.shape[axis]
+    ext = _wrap(s, 0, len(filters[0]) - 2, axis)
+    shape = list(s.shape)
+    shape[axis] //= 2
+    out = np.empty((shape[0], len(filters)) + tuple(shape[1:]), dtype=s.dtype)
+    tmp = np.empty(shape, dtype=s.dtype)
+    for dst, f in zip(out.swapaxes(0, 1), filters):
+        _weighted_sum(dst, ((c, ext[_along(axis, slice(j, j + n, 2))])
+                            for j, c in enumerate(f)), tmp)
+    return out.reshape((-1,) + tuple(shape[1:]))
 
 
-def _synthesize_1d(lo_sub: np.ndarray, hi_sub: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
-    """Zero-upsample and periodically convolve along `axis`:
-    x[2i+p] = sum_k lo[2k+p] * a[i-k] + hi[2k+p] * d[i-k], p in {0, 1}."""
-    shape = list(lo_sub.shape)
+def _synthesize(subbands, filters, axis: int) -> np.ndarray:
+    """out[m, 2i + p] = sum_k sum_f filters[f][2k + p] * subbands[m*F + f][(i - k) mod n]
+    along `axis`: each array extended once, by L/2 - 1 entries in front, tap k
+    a contiguous slice of it, each phase summed in one buffer and then placed."""
+    taps, nf = len(filters[0]) // 2, len(filters)
+    shape = list(subbands[0].shape)
+    n = shape[axis]
     shape[axis] *= 2
-    out = np.zeros(shape, dtype=lo_sub.dtype)
-    for k in range(len(lo) // 2):
-        a, d = _roll(lo_sub, k, axis), _roll(hi_sub, k, axis)
+    out = np.empty((len(subbands) // nf,) + tuple(shape), dtype=subbands[0].dtype)
+    acc, tmp = np.empty((2,) + subbands[0].shape, dtype=out.dtype)
+    shifts = [_along(axis, slice(taps - 1 - k, n + taps - 1 - k)) for k in range(taps)]
+    for m, dst in enumerate(out):
+        group = [_wrap(a, taps - 1, 0, axis) for a in subbands[m * nf:(m + 1) * nf]]
         for p in (0, 1):
-            _accumulate(out[_phase(axis, p)], ((lo[2 * k + p], a), (hi[2 * k + p], d)))
+            _weighted_sum(acc, ((f[2 * k + p], a[shift]) for k, shift in enumerate(shifts)
+                                for f, a in zip(filters, group)), tmp)
+            dst[_along(axis, slice(p, None, 2))] = acc
     return out
 
 
-# ---------------------------------------------------------------------------
-# separable 3D transform over the last three axes (leading axes pass through)
-# ---------------------------------------------------------------------------
-
-def _forward3(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """One analysis level along z, y, x: (8,) + x.shape[:-3] + halved extents,
-    ordered like SUBBAND_TAGS (first tag letter z, last x)."""
-    lo = lo.astype(x.dtype, copy=False)
-    hi = hi.astype(x.dtype, copy=False)
+def _forward3(x: np.ndarray, filters) -> np.ndarray:
+    """`_analyze` along z, y, x: (F**3,) + x.shape[:-3] + halved extents, z
+    index major, so (lo, hi) gives SUBBAND_TAGS order (first letter z)."""
+    filters = [f.astype(x.dtype, copy=False) for f in filters]
     s = x[None]
     for axis in (-3, -2, -1):
-        a, d = _analyze_1d(s, lo, hi, axis)
-        s = np.stack([a, d], axis=1).reshape((-1,) + a.shape[1:])
+        s = _analyze(s, filters, axis)
     return s
 
 
-def _inverse3(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Synthesis inverse of `_forward3` with the given 1D pair."""
-    lo = lo.astype(s.dtype, copy=False)
-    hi = hi.astype(s.dtype, copy=False)
+def _inverse3(subbands, filters) -> np.ndarray:
+    """`_synthesize` along x, y, z: `_forward3`'s adjoint (its inverse with the
+    dual filters), from any sequence of F**3 arrays in `_forward3`'s order."""
+    filters = [f.astype(subbands[0].dtype, copy=False) for f in filters]
+    s = subbands
     for axis in (-1, -2, -3):
-        pairs = s.reshape((-1, 2) + s.shape[1:])
-        s = _synthesize_1d(pairs[:, 0], pairs[:, 1], lo, hi, axis)
+        s = _synthesize(s, filters, axis)
     return s[0]
 
 
@@ -157,12 +161,14 @@ def dwt3(x: np.ndarray, bank: FilterBank) -> SubbandSet:
     """
     x = as_volume(x)
     check_even_extents(x.shape)
-    return SubbandSet(_forward3(x, bank.lo_dec, bank.hi_dec), bank.name)
+    return SubbandSet(_forward3(x, (bank.lo_dec, bank.hi_dec)), bank.name)
 
 
 def idwt3(s: SubbandSet, bank: FilterBank) -> np.ndarray:
-    """Reconstruct the volume from a subband set (exact inverse of dwt3)."""
-    return _inverse3(s.coeffs, bank.lo_rec, bank.hi_rec)
+    """Reconstruct the volume from a subband set of the same bank (exact inverse of dwt3)."""
+    if s.wavelet != bank.name:
+        raise WaveletMismatchError(f"subbands of '{s.wavelet}' reconstructed with '{bank.name}'")
+    return _inverse3(s.coeffs, (bank.lo_rec, bank.hi_rec))
 
 
 def hard_shrink_array(x: np.ndarray, threshold: float) -> np.ndarray:

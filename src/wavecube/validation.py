@@ -14,40 +14,24 @@ from .errors import OddExtentError, ShapeMismatchError, TooSmallError
 VOLUME_DTYPES = (np.float32, np.float64)
 
 
-def as_volume(x, dtype=None, name: str = "volume") -> np.ndarray:
-    """Coerce `x` to a 3D float volume, checking finiteness.
-
-    dtype None keeps float32/float64 input as-is and promotes anything
-    else to float32 (the network-facing default).
-    """
+def as_volume(x) -> np.ndarray:
+    """Coerce `x` to a 3D float volume, checking finiteness: float32 and
+    float64 stay as they are, anything else becomes float32."""
     arr = np.asarray(x)
     if arr.ndim != 3:
-        raise ShapeMismatchError(f"{name} must be 3D (z, y, x), got shape {arr.shape}")
-    if dtype is not None:
-        arr = np.ascontiguousarray(arr, dtype=dtype)
-    elif arr.dtype not in VOLUME_DTYPES:
+        raise ShapeMismatchError(f"volume must be 3D (z, y, x), got shape {arr.shape}")
+    if arr.dtype not in VOLUME_DTYPES:
         arr = np.ascontiguousarray(arr, dtype=np.float32)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("volume contains non-finite values")
     return arr
 
 
-def as_label_volume(y, name: str = "labels") -> np.ndarray:
-    """Coerce `y` to a binary uint8 volume with values in {0, 1}."""
-    arr = np.asarray(y)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(f"{name} must be 3D (z, y, x), got shape {arr.shape}")
-    vals = np.unique(arr)
-    if not np.isin(vals, (0, 1)).all():
-        raise ValueError(f"{name} must be binary 0/1, found values {vals[:8]}")
-    return np.ascontiguousarray(arr, dtype=np.uint8)
-
-
-def check_even_extents(shape: tuple[int, ...], min_extent: int = 2) -> None:
-    """Raise unless every extent is even and at least `min_extent`."""
+def check_even_extents(shape: tuple[int, ...]) -> None:
+    """Raise unless every extent is even and at least 2."""
     for ext in shape:
-        if ext < min_extent:
-            raise TooSmallError(f"extent {ext} < {min_extent} in shape {shape}")
+        if ext < 2:
+            raise TooSmallError(f"extent {ext} < 2 in shape {shape}")
         if ext % 2 != 0:
             raise OddExtentError(f"odd extent {ext} in shape {shape}")
 

@@ -11,7 +11,8 @@ from wavecube.arch import (
     paper_spec,
 )
 from wavecube.errors import IndivisibleExtentError
-from wavecube.nn import GradientTape
+from wavecube.nn import GradientTape, backward
+from wavecube.nn import functional as F
 from wavecube.nn.layers import ConvBNReLU
 from wavecube.train import weighted_cross_entropy
 
@@ -26,6 +27,12 @@ def test_spec_wavelet_rules():
         NetworkSpec(dual_structure="PU", wavelet="haar")  # no wavelet allowed
     with pytest.raises(ValueError):
         NetworkSpec(dual_structure="XX")
+
+
+def test_spec_rejects_negative_shrink_threshold():
+    # as ShrinkConfig does; hard_shrink_layer's gradient mask relies on it
+    with pytest.raises(ValueError, match="shrink_threshold"):
+        NetworkSpec("DIDn", "haar", shrink_threshold=-1.0)
 
 
 def test_config_text_roundtrip():
@@ -231,3 +238,27 @@ def test_eval_forward_reads_bn_buffers_loaded_after_an_earlier_forward():
     after = net(x).data
     assert not np.allclose(after, before)
     assert after.tobytes() == fresh(x).data.tobytes()
+
+
+def _loss_and_grads(kind):
+    net = build(paper_spec(kind, "db2"), seed=8, dtype=np.float64)
+    local = np.random.default_rng(9)
+    x = local.standard_normal((2, 1, 16, 16, 16))
+    labels = local.integers(0, 2, (2, 16, 16, 16))
+    with GradientTape() as tape:
+        loss = weighted_cross_entropy(net(x, training=True), labels, (1.0, 3.0))
+    outputs = [len(out) for out, _ in tape._records]
+    backward(tape, loss, net.parameters())
+    return float(loss.data), {p: t.grad for p, t in net.named_parameters()}, outputs
+
+
+@pytest.mark.parametrize("kind", ["DDc", "DIn"])
+def test_low_pass_branch_matches_full_dwt_and_keeps_no_highs(kind, monkeypatch):
+    loss, grads, outputs = _loss_and_grads(kind)
+    assert max(outputs) == 1  # no (low, highs) record on the tape
+    monkeypatch.setattr(F, "dwt_low_layer", lambda h, bank: F.dwt_layer(h, bank)[0])
+    want_loss, want_grads, want_outputs = _loss_and_grads(kind)
+    assert max(want_outputs) == 2
+    assert abs(loss - want_loss) <= 1e-12
+    for path, g in want_grads.items():
+        np.testing.assert_allclose(grads[path], g, rtol=0, atol=1e-12, err_msg=path)

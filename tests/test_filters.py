@@ -11,7 +11,7 @@ from wavecube.filters import (
     tensor_filters,
     validate_bank,
 )
-from wavecube.transform import _analyze_1d, _synthesize_1d
+from wavecube.transform import _analyze, _synthesize
 
 ALL_NAMES = ("haar", "db2", "db3", "db4", "ch2.2", "ch4.4")
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -126,6 +126,6 @@ def test_1d_perfect_reconstruction_property(name, half_len, seed):
     bank = builtin_bank(name)
     n = max(2 * half_len, 2 * len(bank.lo_dec))
     x = np.random.default_rng(seed).standard_normal(n)
-    lo, hi = _analyze_1d(x[None, :], bank.lo_dec, bank.hi_dec, axis=-1)
-    rec = _synthesize_1d(lo, hi, bank.lo_rec, bank.hi_rec, axis=-1)[0]
+    lo, hi = _analyze(x[None, :], (bank.lo_dec, bank.hi_dec), axis=-1)
+    rec = _synthesize([lo, hi], (bank.lo_rec, bank.hi_rec), axis=-1)[0]
     assert np.max(np.abs(rec - x)) < 1e-10

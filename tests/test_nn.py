@@ -20,6 +20,7 @@ from wavecube.nn import (
     conv_bn_relu,
     deconv3,
     dwt_layer,
+    dwt_low_layer,
     hard_shrink_layer,
     idwt_layer,
     interpolate2,
@@ -232,6 +233,7 @@ def test_gradients_match_finite_differences():
     check_input_grad(lambda x: relu(x), x0 + 0.21, rel_tol=1e-3)
     bank = builtin_bank("db2")
     check_input_grad(lambda x: dwt_layer(x, bank)[0], x0, rel_tol=1e-3)
+    check_input_grad(lambda x: dwt_low_layer(x, bank), x0, rel_tol=1e-3)
 
 
 def conv3_reference(x, w, b, stride, padding):
@@ -445,7 +447,7 @@ def test_dwt_adjoint_identity(name):
                           tensor_dot(highs, y[1:].reshape(7, 2, 4, 4, 4)))
     backward(tape, loss)
     lhs = float(loss.data)
-    adj = _inverse3(y, bank.lo_dec, bank.hi_dec)
+    adj = _inverse3(y, (bank.lo_dec, bank.hi_dec))
     rhs = float((x_data * adj).sum())
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0)
     np.testing.assert_allclose(x.grad, adj, atol=1e-10)
@@ -462,7 +464,7 @@ def test_idwt_adjoint_is_rec_analysis():
         rec = idwt_layer(low, highs, bank)
         loss = tensor_dot(rec, probe)
     backward(tape, loss)
-    expect = _forward3(probe, bank.lo_rec, bank.hi_rec)
+    expect = _forward3(probe, (bank.lo_rec, bank.hi_rec))
     np.testing.assert_allclose(low.grad, expect[0], atol=1e-10)
     np.testing.assert_allclose(highs.grad, expect[1:].reshape(highs.shape), atol=1e-10)
 

@@ -7,6 +7,7 @@ import pytest
 from wavecube import pipeline
 from wavecube.arch import build, paper_spec
 from wavecube.errors import ShapeMismatchError
+from wavecube.nn import GradientTape
 from wavecube.pipeline import assemble, iou, partition, segment_volume
 
 rng = np.random.default_rng(41)
@@ -284,3 +285,19 @@ def test_iou_symmetry():
 def test_iou_extent_mismatch():
     with pytest.raises(ShapeMismatchError):
         iou(np.zeros((4, 4, 4), dtype=np.uint8), np.zeros((4, 4, 8), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_segment_records_nothing_on_the_callers_tape(workers):
+    # cubes always run on pool threads, whose tape stack is their own
+    net = build(paper_spec("DIDn", "haar"), seed=5)
+    with GradientTape() as tape:
+        segment_volume(np.zeros((16, 16, 16), dtype=np.float32), net, (16, 16, 16),
+                       workers=workers)
+    assert len(tape) == 0
+
+
+def test_segment_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="workers"):
+        segment_volume(np.zeros((16, 16, 16), dtype=np.float32),
+                       build(paper_spec("PU"), seed=5), (16, 16, 16), workers=0)

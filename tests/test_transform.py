@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from wavecube.errors import OddExtentError, ShapeMismatchError, TooSmallError
+from wavecube.errors import (
+    OddExtentError,
+    ShapeMismatchError,
+    TooSmallError,
+    WaveletMismatchError,
+)
 from wavecube.filters import SUBBAND_TAGS, builtin_bank, tensor_filters
 from wavecube.transform import (
     ShrinkConfig,
@@ -111,6 +116,12 @@ def test_idwt_constant_lll_gives_unit_volume():
     arrays["lll"] = np.full(shape, 2 * np.sqrt(2))
     rec = idwt3(SubbandSet(arrays, "haar"), builtin_bank("haar"))
     np.testing.assert_allclose(rec, 1.0, atol=1e-12)
+
+
+def test_idwt_rejects_subbands_of_another_bank():
+    s = dwt3(np.random.default_rng(4).standard_normal((8, 8, 8)), builtin_bank("db2"))
+    with pytest.raises(WaveletMismatchError, match="db2"):
+        idwt3(s, builtin_bank("haar"))
 
 
 def test_biorthogonal_roundtrip_16cube():
