@@ -15,9 +15,7 @@ from .functional import (
     maxunpool2,
     relu,
     sconv2,
-    tensor_add,
     tensor_dot,
-    tensor_sum,
 )
 from .layers import BatchNorm3, Conv3, ConvBNReLU, Deconv2, Layer, SConv2
 
@@ -27,5 +25,5 @@ __all__ = [
     "concat_channels", "conv3", "conv_bn_relu", "deconv3", "dwt_layer",
     "dwt_low_layer", "hard_shrink_layer", "idwt_layer", "interpolate2",
     "load_state", "maxpool2_with_indices", "maxunpool2", "relu", "save_state",
-    "sconv2", "tensor_add", "tensor_dot", "tensor_sum",
+    "sconv2", "tensor_dot",
 ]

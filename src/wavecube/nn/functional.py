@@ -289,18 +289,22 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # normalization / activation / combination
 # ---------------------------------------------------------------------------
 
-def _batch_stats(a: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
-                 momentum: float):
+# BN's running-average weight of a new batch and its variance guard
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
+def _batch_stats(a: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray):
     """Per-channel batch mean and variance of `a`; folds them (the variance
-    unbiased) into the running buffers in place."""
+    unbiased) into the running buffers in place, with weight `_BN_MOMENTUM`."""
     mu = a.mean(axis=_AXES)
     var = a.var(axis=_AXES)
     count = a.size // a.shape[1]
     unbias = count / max(count - 1, 1)
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
-    running_var *= 1.0 - momentum
-    running_var += momentum * var * unbias
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mu
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var * unbias
     return mu, var
 
 
@@ -338,8 +342,7 @@ def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, beta: Ten
 
 
 def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-              running_var: np.ndarray, training: bool, momentum: float = 0.1,
-              eps: float = 1e-5) -> Tensor:
+              running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch normalization.
 
     Train mode normalizes with batch statistics and updates the running
@@ -348,11 +351,11 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     x = as_tensor(x)
     _check_5d(x)
     if training:
-        mu, var = _batch_stats(x.data, running_mean, running_var, momentum)
+        mu, var = _batch_stats(x.data, running_mean, running_var)
     else:
         mu = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = _normalize(x.data, mu, inv_std)
     result = Tensor(_col(gamma.data) * xhat + _col(beta.data))
 
@@ -366,8 +369,7 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 
 def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
-                 running_mean: np.ndarray, running_var: np.ndarray, training: bool,
-                 momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                 running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
     """relu(batchnorm(conv3(x, weight, bias), ...)) as one recorded op, with
     the values, gradients and running-buffer update of that chain.
 
@@ -387,14 +389,14 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
     if training:
         z = _correlate(x.data, weight.data, pad)
         z += _col(bias.data)
-        mu, var = _batch_stats(z, running_mean, running_var, momentum)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        mu, var = _batch_stats(z, running_mean, running_var)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         out = _normalize(z, mu, inv_std)
         out *= _col(gamma.data)
         out += _col(beta.data)
     else:
         mu = running_mean.astype(x.data.dtype, copy=False)
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + eps)
+        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + _BN_EPS)
         scale = gamma.data * inv_std
         w_fold = weight.data * scale[:, None, None, None, None]
         out = _correlate(x.data, w_fold, pad)
@@ -489,36 +491,35 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
 # pooling / unpooling
 # ---------------------------------------------------------------------------
 
+# The lazy wavelet: with these two filters `_forward3` splits a volume into
+# its eight 2x2x2 phases, phase 4*dz + 2*dy + dx being the block entry at
+# offset (dz, dy, dx), and `_inverse3` interleaves eight phases back.
+_PHASES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def _place(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Each value written at its block's phase `indices`, zeros elsewhere."""
+    phases = np.zeros((8,) + values.shape, dtype=values.dtype)
+    np.put_along_axis(phases, indices[None], values[None], axis=0)
+    return _inverse3(phases, _PHASES)
+
+
 def maxpool2_with_indices(x) -> tuple[Tensor, np.ndarray]:
-    """2x2x2 max-pool with stride 2; indices are block-local (0..7)."""
+    """2x2x2 max-pool with stride 2; indices are each block's lazy-wavelet
+    phase (0..7) of its first maximum, NaN counting as the maximum."""
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "maxpool2")
-    b, c, d, m, n = x.data.shape
-    d2, m2, n2 = d // 2, m // 2, n // 2
-    blocks = (x.data.reshape(b, c, d2, 2, m2, 2, n2, 2)
-              .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-              .reshape(b, c, d2, m2, n2, 8))
-    indices = blocks.argmax(axis=-1)
-    pooled = np.take_along_axis(blocks, indices[..., None], axis=-1)[..., 0]
-    result = Tensor(pooled)
+    phases = _forward3(x.data, _PHASES)
+    indices = phases.argmax(axis=0)
+    result = Tensor(np.take_along_axis(phases, indices[None], axis=0)[0])
 
     def adjoint(grads):
         if wants_grad(x):
-            x._accumulate(_scatter_blocks(grads[0], indices))
+            x._accumulate(_place(grads[0], indices))
 
     record(result, adjoint)
     return result, indices
-
-
-def _scatter_blocks(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Place per-block values at their recorded in-block positions."""
-    b, c, d2, m2, n2 = values.shape
-    blocks = np.zeros((b, c, d2, m2, n2, 8), dtype=values.dtype)
-    np.put_along_axis(blocks, indices[..., None], values[..., None], axis=-1)
-    return (blocks.reshape(b, c, d2, m2, n2, 2, 2, 2)
-            .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-            .reshape(b, c, 2 * d2, 2 * m2, 2 * n2))
 
 
 def maxunpool2(x, indices: np.ndarray) -> Tensor:
@@ -528,16 +529,12 @@ def maxunpool2(x, indices: np.ndarray) -> Tensor:
     if x.data.shape != indices.shape:
         raise ShapeMismatchError(
             f"maxunpool2 values/indices mismatch: {x.data.shape} vs {indices.shape}")
-    result = Tensor(_scatter_blocks(x.data, indices))
+    result = Tensor(_place(x.data, indices))
 
     def adjoint(grads):
         if wants_grad(x):
-            g = grads[0]
-            b, c, do, mo, no = g.shape
-            blocks = (g.reshape(b, c, do // 2, 2, mo // 2, 2, no // 2, 2)
-                      .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-                      .reshape(b, c, do // 2, mo // 2, no // 2, 8))
-            x._accumulate(np.take_along_axis(blocks, indices[..., None], axis=-1)[..., 0])
+            phases = _forward3(grads[0], _PHASES)
+            x._accumulate(np.take_along_axis(phases, indices[None], axis=0)[0])
 
     record(result, adjoint)
     return result
@@ -568,29 +565,28 @@ def _linear_up_last_adjoint(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interp_axis(x: Tensor, axis: int) -> Tensor:
-    result = Tensor(np.moveaxis(_linear_up_last(np.moveaxis(x.data, axis, -1)), -1, axis))
-
-    def adjoint(grads):
-        if wants_grad(x):
-            g = np.moveaxis(grads[0], axis, -1)
-            x._accumulate(np.moveaxis(_linear_up_last_adjoint(g), -1, axis))
-
-    record(result, adjoint)
-    return result
-
-
 def interpolate2(x) -> Tensor:
     """Trilinear upsampling by 2.
 
     Convention: output index maps to input coordinate j/2 with edge clamp,
     so even outputs copy inputs and odd interior outputs are neighbour
-    midpoints (separable per axis)."""
+    midpoints (separable per axis: z, y, then x; the adjoint runs x, y, z)."""
     x = as_tensor(x)
     _check_5d(x)
+    out = x.data
     for axis in (2, 3, 4):
-        x = _interp_axis(x, axis)
-    return x
+        out = np.moveaxis(_linear_up_last(np.moveaxis(out, axis, -1)), -1, axis)
+    result = Tensor(out)
+
+    def adjoint(grads):
+        if wants_grad(x):
+            g = grads[0]
+            for axis in (4, 3, 2):
+                g = np.moveaxis(_linear_up_last_adjoint(np.moveaxis(g, axis, -1)), -1, axis)
+            x._accumulate(g)
+
+    record(result, adjoint)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -662,20 +658,8 @@ def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions (used by the loss and by tests)
+# probe
 # ---------------------------------------------------------------------------
-
-def tensor_sum(x) -> Tensor:
-    x = as_tensor(x)
-    result = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
-
-    def adjoint(grads):
-        if wants_grad(x):
-            x._accumulate(np.broadcast_to(grads[0], x.data.shape).astype(x.data.dtype))
-
-    record(result, adjoint)
-    return result
-
 
 def tensor_dot(x, const) -> Tensor:
     """Scalar inner product with a constant array (adjoint probe helper)."""
@@ -686,23 +670,6 @@ def tensor_dot(x, const) -> Tensor:
     def adjoint(grads):
         if wants_grad(x):
             x._accumulate(grads[0] * c)
-
-    record(result, adjoint)
-    return result
-
-
-def tensor_add(a, b) -> Tensor:
-    """Elementwise addition of equal-shape tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-    result = Tensor(a.data + b.data)
-
-    def adjoint(grads):
-        if wants_grad(a):
-            a._accumulate(grads[0])
-        if wants_grad(b):
-            b._accumulate(grads[0])
 
     record(result, adjoint)
     return result

@@ -110,7 +110,6 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass
 class EpochStats:
-    epoch: int
     mean_loss: float
     iteration_losses: list
     bg_iou: float
@@ -123,7 +122,6 @@ class FitResult:
     network: Network
     history: list
     checkpoints: list
-    metrics_path: str | None
 
     @property
     def final_iou(self):
@@ -192,12 +190,10 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
     max_iter = cfg.epochs * iters_per_epoch
 
     out_dir = Path(out_dir) if out_dir is not None else None
-    metrics_path = None
     metrics_fh = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_path = out_dir / "metrics.log"
-        metrics_fh = open(metrics_path, "w")
+        metrics_fh = open(out_dir / "metrics.log", "w")
         metrics_fh.write("# epoch\titeration\tlr\tloss\tbg_iou\tfg_iou\tmean_iou\n")
         metrics_fh.write("# " + " ".join(f"{key}={val}" for key, val in
                                          {**spec.to_config(), **asdict(cfg)}.items()) + "\n")
@@ -238,7 +234,7 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
                 bg, fg, mean = evaluate_iou(network, val_items, cfg.batch_size)
             else:
                 bg = fg = mean = float("nan")
-            stats = EpochStats(epoch, float(np.mean(losses)), losses, bg, fg, mean)
+            stats = EpochStats(float(np.mean(losses)), losses, bg, fg, mean)
             history.append(stats)
             if metrics_fh is not None:
                 metrics_fh.write(
@@ -259,5 +255,4 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
         if metrics_fh is not None:
             metrics_fh.close()
 
-    return FitResult(network, history, checkpoints,
-                     str(metrics_path) if metrics_path else None)
+    return FitResult(network, history, checkpoints)

@@ -211,6 +211,8 @@ def test_conv_bn_relu_unit_records_once():
 @pytest.mark.parametrize("kind,wavelet,shape,records", [
     ("DIDn", "haar", (4, 1, 16, 64, 64), 32),
     ("PU", None, (1, 1, 16, 32, 32), 28),
+    ("ScIn", None, (1, 1, 16, 32, 32), 32),
+    ("DIn", "haar", (1, 1, 16, 32, 32), 32),
 ])
 def test_tape_records_per_training_step(kind, wavelet, shape, records):
     # 18 conv-BN-ReLU units record once each; the rest is resampling, the

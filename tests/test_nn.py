@@ -30,13 +30,16 @@ from wavecube.nn import (
     relu,
     save_state,
     sconv2,
-    tensor_add,
     tensor_dot,
-    tensor_sum,
 )
 from wavecube.transform import _forward3, _inverse3
 
 rng = np.random.default_rng(20)
+
+
+def ones_dot(t):
+    """sum(t) as a recorded scalar: `tensor_dot` with a ones probe."""
+    return tensor_dot(t, np.ones(t.shape))
 
 
 def numeric_grad(fn, x0, idxs, h=1e-6):
@@ -130,6 +133,28 @@ def test_maxpool_block_values_and_indices():
     assert idx[0, 0, 0, 0, 0] == 7  # block-local flat position of the max
 
 
+def test_maxpool_indices_are_block_phases():
+    # six 2x2x2 blocks along x; a block's index is the phase 4*dz + 2*dy + dx
+    # of its first maximum, NaN counting as the maximum
+    x = np.zeros((1, 1, 2, 2, 12))
+    for b, (dz, dy, dx) in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]):
+        x[0, 0, dz, dy, 2 * b + dx] = 1.0
+    # block 4 stays all zero; block 5 holds 9 at phase 0 and NaN at phases 3 and 5
+    x[0, 0, 0, 0, 10] = 9.0
+    x[0, 0, 0, 1, 11] = np.nan
+    x[0, 0, 1, 0, 11] = np.nan
+    pooled, idx = maxpool2_with_indices(Tensor(x))
+    assert idx.shape == (1, 1, 1, 1, 6) and idx.dtype == np.intp
+    np.testing.assert_array_equal(idx.ravel(), [4, 2, 1, 6, 0, 3])
+    np.testing.assert_array_equal(pooled.data.ravel(), [1, 1, 1, 1, 0, np.nan])
+    # unpooling writes each value at its block's phase and nowhere else
+    up = maxunpool2(Tensor(np.full(pooled.shape, 5.0)), idx).data
+    expect = np.zeros_like(x)
+    for b, k in enumerate(idx.ravel()):
+        expect[0, 0, k // 4, k // 2 % 2, 2 * b + k % 2] = 5.0
+    np.testing.assert_array_equal(up, expect)
+
+
 def test_maxunpool_sparsity():
     x = rng.standard_normal((1, 2, 4, 4, 4))
     pooled, idx = maxpool2_with_indices(Tensor(x))
@@ -175,7 +200,7 @@ def test_hard_shrink_layer_keeps_nan():
     x = Tensor(np.array([np.nan, 0.1, -1.0]).reshape(1, 1, 1, 1, 3), requires_grad=True)
     with GradientTape() as tape:
         out = hard_shrink_layer(x, 0.25)
-        loss = tensor_sum(out)
+        loss = ones_dot(out)
     assert np.isnan(out.data[0, 0, 0, 0, 0])
     np.testing.assert_array_equal(out.data[0, 0, 0, 0, 1:], [0.0, -1.0])
     backward(tape, loss)
@@ -418,7 +443,7 @@ def test_dwt_layer_low_gradient_is_constant_for_sum_loss():
                dtype=np.float64)
     with GradientTape() as tape:
         low, _ = dwt_layer(x, bank)
-        loss = tensor_sum(low)
+        loss = ones_dot(low)
     backward(tape, loss)
     np.testing.assert_allclose(x.grad, 1 / (2 * np.sqrt(2)), atol=1e-12)
 
@@ -428,7 +453,7 @@ def test_hard_shrink_gradient_mask():
     x0 = np.array([-0.6, -0.26, -0.1, 0.0, 0.1, 0.26, 0.6]).reshape(1, 1, 1, 1, 7)
     x = Tensor(x0, requires_grad=True, dtype=np.float64)
     with GradientTape() as tape:
-        loss = tensor_sum(hard_shrink_layer(x, lam))
+        loss = ones_dot(hard_shrink_layer(x, lam))
     backward(tape, loss)
     np.testing.assert_array_equal(
         x.grad.ravel(), [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0])
@@ -441,12 +466,13 @@ def test_dwt_adjoint_identity(name):
     x_data = rng.standard_normal((1, 2, 8, 8, 8))
     y = rng.standard_normal((8, 1, 2, 4, 4, 4))
     x = Tensor(x_data, requires_grad=True, dtype=np.float64)
-    with GradientTape() as tape:
-        low, highs = dwt_layer(x, bank)
-        loss = tensor_add(tensor_dot(low, y[0]),
-                          tensor_dot(highs, y[1:].reshape(7, 2, 4, 4, 4)))
-    backward(tape, loss)
-    lhs = float(loss.data)
+    lhs = 0.0
+    # one tape per output; x.grad accumulates over the two backwards
+    for out, probe in ((0, y[0]), (1, y[1:].reshape(7, 2, 4, 4, 4))):
+        with GradientTape() as tape:
+            loss = tensor_dot(dwt_layer(x, bank)[out], probe)
+        backward(tape, loss)
+        lhs += float(loss.data)
     adj = _inverse3(y, (bank.lo_dec, bank.hi_dec))
     rhs = float((x_data * adj).sum())
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0)
@@ -475,7 +501,7 @@ def test_sum_gradient_is_ones():
     x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)), requires_grad=True,
                dtype=np.float64)
     with GradientTape() as tape:
-        loss = tensor_sum(x)
+        loss = ones_dot(x)
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
 
@@ -484,7 +510,7 @@ def test_relu_dead_region_gradient_zero():
     x = Tensor(-np.abs(rng.standard_normal((1, 1, 2, 2, 2))) - 0.1,
                requires_grad=True, dtype=np.float64)
     with GradientTape() as tape:
-        loss = tensor_sum(relu(x))
+        loss = ones_dot(relu(x))
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.zeros_like(x.data))
 
@@ -492,7 +518,7 @@ def test_relu_dead_region_gradient_zero():
 def test_backward_twice_raises():
     x = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
     with GradientTape() as tape:
-        loss = tensor_sum(x)
+        loss = ones_dot(x)
     backward(tape, loss)
     with pytest.raises(TapeConsumedError):
         backward(tape, loss)
@@ -503,7 +529,7 @@ def test_unused_parameters_get_zero_gradient():
     unused = Tensor(np.ones(4), requires_grad=True)
     x = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
     with GradientTape() as tape:
-        loss = tensor_sum(x)
+        loss = ones_dot(x)
     backward(tape, loss, parameters=[used, unused])
     np.testing.assert_array_equal(unused.grad, np.zeros(4))
 
