@@ -17,7 +17,6 @@ from ..errors import BadMagicError, TruncatedPayloadError
 _MAGIC = b"NVOL"
 _VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("|u1")}
-_CODES_BY_KIND = {np.dtype("<f4"): 0, np.dtype("|u1"): 1}
 _HEADER = struct.Struct("<4sBBIII")
 
 

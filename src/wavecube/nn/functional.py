@@ -51,8 +51,8 @@ _BLOCK_BYTES = 1 << 19
 
 
 class _FlatGrid:
-    """A (B, C, z, y, x) batch zero-padded by `pad` voxels a side (a negative
-    pad crops) with each sample's padded grid flattened into one row.
+    """A (B, C, z, y, x) batch zero-padded by `pad` >= 0 voxels a side, with
+    each sample's padded grid flattened into one row.
 
     A kernel offset (i, j, l) is then the flat shift i*plane + j*row + l.
     `flat` carries (k-1)*(row+1) trailing zeros so that every shift of the
@@ -61,9 +61,6 @@ class _FlatGrid:
     """
 
     def __init__(self, a: np.ndarray, pad: int, k: int):
-        if pad < 0:
-            a = a[:, :, -pad:pad, -pad:pad, -pad:pad]
-            pad = 0
         b, c = a.shape[:2]
         self.k = k
         self.sp = tuple(e + 2 * pad for e in a.shape[2:])
@@ -174,26 +171,36 @@ def _conv3_backward(x: Tensor, weight: Tensor, bias: Tensor | None, pad: int,
         x._accumulate(gx)
 
 
-def _check_conv3_input(x: Tensor, weight: Tensor, op: str) -> None:
+def _check_conv3_input(x: Tensor, ci: int, op: str) -> None:
     _check_5d(x)
-    ci = weight.data.shape[1]
     if x.data.shape[1] != ci:
         raise ChannelMismatchError(f"{op} expected {ci} input channels, got {x.data.shape[1]}")
+
+
+def _dilate(a: np.ndarray, sp) -> np.ndarray:
+    """`a` on the even positions of a zero grid of spatial extents `sp`: the
+    transpose of taking a stride-1 result at `[::2, ::2, ::2]`."""
+    out = np.zeros(a.shape[:2] + tuple(sp), dtype=a.dtype)
+    out[:, :, ::2, ::2, ::2] = a
+    return out
 
 
 def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
           padding: int | None = None) -> Tensor:
     """3D convolution; kernel is cubic, default padding keeps extents (stride 1)
-    or halves them exactly (stride 2, even inputs).
+    or halves them exactly (stride 2, even inputs).  `padding` lies in
+    0..k-1.
 
     Stride 2 is the stride-1 result subsampled at even positions; its adjoint
-    zero-inserts the cotangent and runs the stride-1 adjoint,
+    dilates the cotangent back and runs the stride-1 adjoint,
     `_correlate_adjoint`, which keeps nothing beyond `x` and `weight`."""
     x = as_tensor(x)
-    _check_conv3_input(x, weight, "conv3")
+    _check_conv3_input(x, weight.data.shape[1], "conv3")
     k = weight.data.shape[2]
     if padding is None:
         padding = (k - 1) // 2
+    if not 0 <= padding < k:
+        raise ValueError(f"padding must lie in 0..{k - 1} for a {k}-cube kernel, got {padding}")
     if stride == 2:
         _check_even_spatial(x, "conv3 with stride 2")
     elif stride != 1:
@@ -204,15 +211,13 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     if stride == 2:
         out = np.ascontiguousarray(out[:, :, ::2, ::2, ::2])
     if bias is not None:
-        out += bias.data[None, :, None, None, None]
+        out += _col(bias.data)
     result = Tensor(out)
 
     def adjoint(grads):
         g = grads[0]
         if stride == 2:
-            g1 = np.zeros(g.shape[:2] + full_sp, dtype=g.dtype)
-            g1[:, :, ::2, ::2, ::2] = g
-            g = g1
+            g = _dilate(g, full_sp)
         _conv3_backward(x, weight, bias, padding, g)
 
     record(result, adjoint)
@@ -221,65 +226,34 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
 
 def sconv2(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Strided 2x2x2 convolution (stride 2, no padding): exact halving."""
-    x = as_tensor(x)
-    _check_5d(x)
-    _check_even_spatial(x, "sconv2")
-    co, ci = weight.data.shape[:2]
-    if x.data.shape[1] != ci:
-        raise ChannelMismatchError(
-            f"sconv2 expected {ci} input channels, got {x.data.shape[1]}")
-    b, _, d, m, n = x.data.shape
-    d2, m2, n2 = d // 2, m // 2, n // 2
-    xw = x.data.reshape(b, ci, d2, 2, m2, 2, n2, 2)
-    # (B, Ci, 2,2,2, D2, M2, N2)
-    xw = xw.transpose(0, 1, 3, 5, 7, 2, 4, 6)
-    out = np.einsum("bcxyzdmn,ocxyz->bodmn", xw, weight.data, optimize=True)
-    if bias is not None:
-        out += bias.data[None, :, None, None, None]
-    result = Tensor(np.ascontiguousarray(out))
-
-    def adjoint(grads):
-        g = grads[0]
-        if bias is not None and wants_grad(bias):
-            bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
-        if wants_grad(weight):
-            gw = np.einsum("bodmn,bcxyzdmn->ocxyz", g, xw, optimize=True)
-            weight._accumulate(gw)
-        if wants_grad(x):
-            gx = np.einsum("bodmn,ocxyz->bcxyzdmn", g, weight.data, optimize=True)
-            gx = gx.transpose(0, 1, 5, 2, 6, 3, 7, 4).reshape(b, ci, d, m, n)
-            x._accumulate(gx)
-
-    record(result, adjoint)
-    return result
+    return conv3(x, weight, bias, stride=2, padding=0)
 
 
 def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Transposed 2x2x2 convolution, stride 2: exact doubling, no overlap."""
+    """Transposed 2x2x2 convolution, stride 2: exact doubling, no overlap.
+
+    The exact transpose of `sconv2` on the same (Ci, Co, 2, 2, 2) weight,
+    which `sconv2` reads as mapping Co channels to Ci: the forward is that
+    op's input gradient, `_correlate_adjoint` of the dilated `x`; the input
+    gradient is its forward; the weight gradient is `_correlate_adjoint`'s
+    with the cotangent as input and the dilated `x` as cotangent."""
     x = as_tensor(x)
-    _check_5d(x)
-    ci, co = weight.data.shape[:2]
-    if x.data.shape[1] != ci:
-        raise ChannelMismatchError(
-            f"deconv3 expected {ci} input channels, got {x.data.shape[1]}")
-    b, _, d, m, n = x.data.shape
-    out = np.einsum("bcdmn,coxyz->bodxmynz", x.data, weight.data, optimize=True)
-    out = out.reshape(b, co, 2 * d, 2 * m, 2 * n)
+    _check_conv3_input(x, weight.data.shape[0], "deconv3")
+    w = weight.data
+    sp = tuple(2 * e - 1 for e in x.data.shape[2:])
+    out = _correlate_adjoint(None, w, 0, _dilate(x.data, sp), True, False)[0]
     if bias is not None:
-        out += bias.data[None, :, None, None, None]
+        out += _col(bias.data)
     result = Tensor(out)
 
     def adjoint(grads):
         g = grads[0]
-        gw = g.reshape(b, co, d, 2, m, 2, n, 2)
         if bias is not None and wants_grad(bias):
-            bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
+            bias._accumulate(g.sum(axis=_AXES))
         if wants_grad(weight):
-            grad_w = np.einsum("bcdmn,bodxmynz->coxyz", x.data, gw, optimize=True)
-            weight._accumulate(grad_w)
+            weight._accumulate(_correlate_adjoint(g, w, 0, _dilate(x.data, sp), False, True)[1])
         if wants_grad(x):
-            gx = np.einsum("bodxmynz,coxyz->bcdmn", gw, weight.data, optimize=True)
-            x._accumulate(gx)
+            x._accumulate(np.ascontiguousarray(_correlate(g, w, 0)[:, :, ::2, ::2, ::2]))
 
     record(result, adjoint)
     return result
@@ -380,58 +354,48 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
 
     Eval mode folds BN into the conv on every call, from the current
     buffers: weight w*gamma/sigma, bias (b - mean)*gamma/sigma + beta, so a
-    newly loaded state is never stale.  Its adjoint differentiates through
-    the fold, so gradients stay exact under a tape.  ReLU runs in place on
+    newly loaded state is never stale.  Its adjoint recomputes the unfolded
+    conv output and then runs the training backward with BN's eval-mode
+    gradient, so gradients stay exact under a tape.  ReLU runs in place on
     the output; NaN stays NaN."""
     x = as_tensor(x)
-    _check_conv3_input(x, weight, "conv_bn_relu")
+    _check_conv3_input(x, weight.data.shape[1], "conv_bn_relu")
     pad = (weight.data.shape[2] - 1) // 2
-    if training:
+
+    def conv_out():
         z = _correlate(x.data, weight.data, pad)
         z += _col(bias.data)
+        return z
+
+    if training:
+        z = conv_out()
         mu, var = _batch_stats(z, running_mean, running_var)
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         out = _normalize(z, mu, inv_std)
         out *= _col(gamma.data)
         out += _col(beta.data)
     else:
+        z = None  # recomputed by the adjoint
         mu = running_mean.astype(x.data.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + _BN_EPS)
         scale = gamma.data * inv_std
-        w_fold = weight.data * scale[:, None, None, None, None]
-        out = _correlate(x.data, w_fold, pad)
+        out = _correlate(x.data, weight.data * scale[:, None, None, None, None], pad)
         out += _col((bias.data - mu) * scale + beta.data)
     np.maximum(out, np.zeros((), dtype=out.dtype), out=out)
     result = Tensor(out)
 
-    def train_adjoint(grads):
+    def adjoint(grads):
         # result > 0 selects the same entries as relu's input > 0, NaN
         # included; the masked cotangent and xhat are freed before the conv's
         # backward runs
         want_z = wants_grad(x) or wants_grad(weight) or wants_grad(bias)
-        gz = _batchnorm_adjoint(grads[0] * (result.data > 0), _normalize(z, mu, inv_std),
-                                gamma, beta, inv_std, True, want_z)
+        gz = _batchnorm_adjoint(grads[0] * (result.data > 0),
+                                _normalize(conv_out() if z is None else z, mu, inv_std),
+                                gamma, beta, inv_std, training, want_z)
         if gz is not None:
             _conv3_backward(x, weight, bias, pad, gz)
 
-    def eval_adjoint(grads):
-        gy = grads[0] * (result.data > 0)
-        g_shift = gy.sum(axis=_AXES)
-        if wants_grad(beta):
-            beta._accumulate(g_shift)
-        if wants_grad(bias):
-            bias._accumulate(g_shift * scale)
-        gx, gw_fold = _correlate_adjoint(x.data, w_fold, pad, gy, wants_grad(x),
-                                         wants_grad(weight) or wants_grad(gamma))
-        if wants_grad(weight):
-            weight._accumulate(gw_fold * scale[:, None, None, None, None])
-        if wants_grad(gamma):
-            g_scale = (gw_fold * weight.data).sum(axis=(1, 2, 3, 4)) + g_shift * (bias.data - mu)
-            gamma._accumulate(g_scale * inv_std)
-        if gx is not None:
-            x._accumulate(gx)
-
-    record(result, train_adjoint if training else eval_adjoint)
+    record(result, adjoint)
     return result
 
 

@@ -45,7 +45,9 @@ class Conv3(Layer):
 
 
 class SConv2(Layer):
-    """2x2x2 stride-2 down-sampling convolution (parameter mirror of Deconv2)."""
+    """2x2x2 stride-2 down-sampling convolution: `F.conv3` at stride 2 without
+    padding.  Its (Co, Ci) weight mirrors Deconv2's (Ci, Co) parameter for
+    parameter."""
 
     def __init__(self, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
@@ -60,7 +62,8 @@ class SConv2(Layer):
 
 
 class Deconv2(Layer):
-    """2x2x2 stride-2 transposed convolution (exact doubling)."""
+    """2x2x2 stride-2 transposed convolution (exact doubling): the transpose
+    of SConv2's convolution, run on the same kernel as `F.conv3`."""
 
     def __init__(self, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
@@ -89,7 +92,8 @@ class ConvBNReLU(Layer):
     """The network body unit: convolution + batch norm + ReLU, run as one
     recorded op (`F.conv_bn_relu`).  Training keeps only the input, the conv
     output and the batch statistics for the backward; eval mode folds BN
-    into the conv weights and bias from the current buffers."""
+    into the conv weights and bias from the current buffers, and its
+    backward recomputes the unfolded conv output."""
 
     def __init__(self, c_in: int, c_out: int, rng=None, dtype=np.float32):
         self.conv = Conv3(c_in, c_out, rng=rng, dtype=dtype)

@@ -33,6 +33,8 @@ class TrainConfig:
             raise ValueError("epochs, base_lr and batch_size must be positive")
         if len(self.class_weights) != 2:
             raise ValueError("class_weights must have length 2")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

@@ -264,3 +264,44 @@ def test_low_pass_branch_matches_full_dwt_and_keeps_no_highs(kind, monkeypatch):
     assert abs(loss - want_loss) <= 1e-12
     for path, g in want_grads.items():
         np.testing.assert_allclose(grads[path], g, rtol=0, atol=1e-12, err_msg=path)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("kind", ["ScIn", "PDc", "DDc"])
+def test_resampling_conv_networks_match_finite_differences(kind, training):
+    # criterion 3 covers DIDn; these three down-sample with the strided conv
+    # (ScIn) or up-sample with the transposed one (PDc, DDc).  Eval mode reads
+    # drawn BN buffers, so folding BN into the conv is no identity.
+    net = build(paper_spec(kind, "haar" if kind == "DDc" else None), seed=12,
+                dtype=np.float64)
+    local = np.random.default_rng(13)
+    _randomize_head(net, seed=14)
+    for path, buf in net.named_buffers():
+        buf[...] = (local.normal(0.0, 0.2, buf.shape) if path.endswith("mean")
+                    else local.uniform(0.5, 1.5, buf.shape))
+    x = local.standard_normal((2, 1, 16, 16, 16))
+    labels = local.integers(0, 2, (2, 16, 16, 16))
+    params = dict(net.named_parameters())
+
+    def loss_value():
+        return weighted_cross_entropy(net(x, training=training), labels, (1.0, 3.0))
+
+    with GradientTape() as tape:
+        loss = loss_value()
+    backward(tape, loss, params.values())
+
+    resampler = "down1" if kind == "ScIn" else "up1"
+    names = [f"{resampler}.weight", f"{resampler}.bias"]
+    names += [str(n) for n in local.choice(sorted(params), 8, replace=False)]
+    for name in names:
+        theta = params[name].data
+        idx = tuple(int(local.integers(0, s)) for s in theta.shape)
+        orig = theta[idx]
+        h = 1e-6 * max(1.0, abs(orig))
+        theta[idx] = orig + h
+        lp = float(loss_value().data)
+        theta[idx] = orig - h
+        lm = float(loss_value().data)
+        theta[idx] = orig
+        fd, got = (lp - lm) / (2 * h), params[name].grad[idx]
+        assert abs(got - fd) <= 1e-5 * max(abs(fd), 1e-3), (name, idx, got, fd)

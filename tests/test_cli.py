@@ -225,6 +225,17 @@ def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
     assert "numeric failure: non-finite loss" in capsys.readouterr().err
 
 
+def test_train_val_fraction_outside_unit_interval_exits_2(tmp_path, capsys):
+    data_dir = tmp_path / "cubes"
+    assert main(["gen-phantom", "--out", str(data_dir), "--count", "2",
+                 "--shape", "16x16x16", "--seed", "3"]) == 0
+    assert main(["train", "--arch", "PU", "--data", str(data_dir),
+                 "--out", str(tmp_path / "run"), "--epochs", "1",
+                 "--val-fraction", "-0.5"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("data error: val_fraction")
+    assert not (tmp_path / "run").exists()
+
+
 def test_provenance_header_on_stderr_not_stdout(tmp_path, capsys):
     assert main(["count-params", "--arch", "PU"]) == 0
     captured = capsys.readouterr()

@@ -275,7 +275,8 @@ def conv3_reference(x, w, b, stride, padding):
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("ci,co,k,padding", [(1, 4, 3, 1), (3, 2, 1, 0), (5, 1, 3, 1)])
+@pytest.mark.parametrize("ci,co,k,padding", [(1, 4, 3, 1), (3, 2, 1, 0), (5, 1, 3, 1),
+                                             (2, 3, 2, 0)])
 def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
     local = np.random.default_rng(100 * ci + 10 * co + stride)
     x = Tensor(local.standard_normal((2, ci, 4, 6, 8)), dtype=np.float64)
@@ -286,6 +287,9 @@ def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
     want = conv3_reference(x.data, w0, b0, stride, padding)
     assert out.data.shape == want.shape
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    if (k, padding, stride) == (2, 0, 2):  # the strided down-sampling conv
+        np.testing.assert_allclose(sconv2(x, Tensor(w0), Tensor(b0)).data, out.data,
+                                   rtol=1e-12, atol=1e-12)
 
     probe = local.standard_normal(want.shape)
     w = Tensor(w0.copy(), requires_grad=True, dtype=np.float64)
@@ -328,6 +332,43 @@ def test_conv3_spanning_several_gather_blocks(stride):
     # the loss is linear in x and in w: <grad, argument> equals the loss
     assert float((x.grad * x0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
     assert float((w.grad * w0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
+
+
+def test_conv3_rejects_padding_outside_kernel():
+    x = Tensor(np.zeros((1, 1, 4, 4, 4)))
+    for k, padding in ((3, -1), (3, 3), (1, 1), (2, 2)):
+        with pytest.raises(ValueError, match="padding"):
+            conv3(x, Tensor(np.zeros((1, 1, k, k, k))), padding=padding)
+
+
+def test_deconv3_is_sconv2_transpose_with_parameter_gradients():
+    local = np.random.default_rng(41)
+    x0 = local.standard_normal((2, 3, 2, 3, 4))
+    w0 = local.standard_normal((3, 2, 2, 2, 2))  # (Ci, Co, 2, 2, 2)
+    b0 = local.standard_normal(2)
+    g = local.standard_normal((2, 2, 4, 6, 8))
+    # <deconv3(x, W), g> == <x, sconv2(g, W)>: the same weight read both ways
+    lhs = float((deconv3(Tensor(x0), Tensor(w0), None).data * g).sum())
+    rhs = float((x0 * sconv2(Tensor(g), Tensor(w0), None).data).sum())
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    w = Tensor(w0.copy(), requires_grad=True, dtype=np.float64)
+    b = Tensor(b0.copy(), requires_grad=True, dtype=np.float64)
+    with GradientTape() as tape:
+        loss = tensor_dot(deconv3(Tensor(x0), w, b), g)
+    backward(tape, loss)
+
+    def scalar_w(arr):
+        return float(tensor_dot(deconv3(Tensor(x0), Tensor(arr), b), g).data)
+
+    def scalar_b(arr):
+        return float(tensor_dot(deconv3(Tensor(x0), w, Tensor(arr)), g).data)
+
+    for param, scalar, p0 in ((w, scalar_w, w0), (b, scalar_b, b0)):
+        fd = numeric_grad(scalar, p0, list(np.ndindex(*p0.shape)))
+        for idx, expect in fd.items():
+            assert abs(param.grad[idx] - expect) <= 1e-6 * max(abs(expect), 1.0), (
+                idx, param.grad[idx], expect)
 
 
 # -- fused conv-BN-ReLU ---------------------------------------------------------

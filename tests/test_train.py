@@ -185,6 +185,16 @@ def test_fit_nonfinite_loss_raises_before_backward():
     assert math.isnan(err.value.value)
 
 
+@pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
+def test_train_config_rejects_val_fraction_outside_unit_interval(fraction):
+    # -0.5 would hold out half the cubes (order[:-n]); 1.0 would hold out all
+    # of them, and the empty-split fallback would then train on every cube
+    with pytest.raises(ValueError, match="val_fraction"):
+        TrainConfig(val_fraction=fraction)
+    for ok in (0.0, 0.5, 0.99):
+        assert TrainConfig(val_fraction=ok).val_fraction == ok
+
+
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
         fit(paper_spec("PU"), [], TrainConfig())
