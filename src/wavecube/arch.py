@@ -80,8 +80,9 @@ class NetworkSpec:
             raise ValueError(f"{self.dual_structure} takes no wavelet")
         if len(self.encoder_channels) != self.levels or len(self.decoder_channels) != self.levels:
             raise ValueError("channel schedules must list one pair per level")
-        if self.shrink_threshold < 0:
-            raise ValueError(f"shrink_threshold must be >= 0, got {self.shrink_threshold}")
+        if not 0 <= self.shrink_threshold < np.inf:
+            raise ValueError(
+                f"shrink_threshold must be finite and >= 0, got {self.shrink_threshold}")
 
     def to_config(self) -> dict[str, str]:
         """Every field as `key -> text`, in declaration order."""

@@ -9,9 +9,8 @@ with the decomposition filters, etc.).
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ChannelMismatchError, OddExtentError, ShapeMismatchError
 from ..filters import FilterBank
@@ -85,21 +84,28 @@ class _FlatGrid:
         at most `block` flat output positions.  `cols` is the block's k*k
         (z, y) shifts, (C*k*k, stop - start + k - 1) with rows ordered
         (c, i, j); its slice `cols[:, l:l + stop - start]` is the input under
-        kernel offsets (i, j, l).  One buffer is reused for every block; with
-        k = 1 `cols` is the flat slice itself."""
+        kernel offsets (i, j, l).  One buffer is reused for every block and
+        filled by one copy; with k = 1 `cols` is the flat slice itself."""
         k, n = self.k, self.out_len
         c = self.flat.shape[1]
         buf = np.empty((c, k, k, self.block + k - 1), dtype=self.flat.dtype) if k > 1 else None
         for bi, src in enumerate(self.flat):
+            if k > 1:
+                # shifts[:, i, j, p] = src[:, i*plane + j*row + p]: every (z, y)
+                # shift of the whole sample as one read-only view.  Its last
+                # element, (k-1)*(plane + row) + out_len + k - 2, is exactly the
+                # last element of `src`, which the (k-1)*(row+1) tail pads to.
+                item = src.itemsize
+                shifts = as_strided(src, (c, k, k, n + k - 1),
+                                    (src.strides[0], self.plane * item, self.row * item, item),
+                                    writeable=False)
             for start in range(0, n, self.block):
                 stop = min(start + self.block, n)
                 if k == 1:
                     yield bi, start, stop, src[:, start:stop]
                     continue
                 width = stop - start + k - 1
-                for i, j in product(range(k), range(k)):
-                    shift = start + i * self.plane + j * self.row
-                    buf[:, i, j, :width] = src[:, shift:shift + width]
+                np.copyto(buf[..., :width], shifts[..., start:start + width])
                 yield bi, start, stop, buf.reshape(c * k * k, -1)[:, :width]
 
     def crop(self, flat_out: np.ndarray) -> np.ndarray:
@@ -461,6 +467,26 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
 _PHASES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
+def first_max(stack: np.ndarray) -> np.ndarray:
+    """numpy's argmax over axis 0, in whole-array passes: the index along the
+    leading axis of each position's first maximum, NaN counting as the
+    maximum, ties going to the lower index.
+
+    numpy's argmax over a leading axis makes one call per position; here
+    `top` is one pairwise max, and each entry but the last adds 1 to the
+    index wherever neither it nor an earlier entry is the maximum or NaN.
+    The count runs in the narrowest integer type that holds it."""
+    top = stack.max(axis=0)
+    idx = np.zeros(top.shape, dtype=np.min_scalar_type(len(stack) - 1))
+    seen = np.zeros(top.shape, dtype=bool)
+    hit = np.empty(top.shape, dtype=bool)
+    for entry in stack[:-1]:
+        seen |= np.equal(entry, top, out=hit)
+        seen |= np.isnan(entry, out=hit)
+        idx += np.logical_not(seen, out=hit)
+    return idx.astype(np.intp)
+
+
 def _place(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Each value written at its block's phase `indices`, zeros elsewhere."""
     phases = np.zeros((8,) + values.shape, dtype=values.dtype)
@@ -475,7 +501,7 @@ def maxpool2_with_indices(x) -> tuple[Tensor, np.ndarray]:
     _check_5d(x)
     _check_even_spatial(x, "maxpool2")
     phases = _forward3(x.data, _PHASES)
-    indices = phases.argmax(axis=0)
+    indices = first_max(phases)
     result = Tensor(np.take_along_axis(phases, indices[None], axis=0)[0])
 
     def adjoint(grads):

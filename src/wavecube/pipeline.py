@@ -19,7 +19,8 @@ import numpy as np
 
 from .data.cubes import pad_to_multiple
 from .errors import ShapeMismatchError
-from .validation import check_same_shape
+from .nn.functional import first_max
+from .validation import as_volume, check_same_shape
 
 
 @dataclass(frozen=True)
@@ -146,15 +147,17 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
                    workers: int = 1, retain_logits: bool = False) -> SegmentationResult:
     """Per-cube argmax segmentation of an arbitrary-extent volume.
 
-    Argmax ties resolve to the lower class index (background).  Cubes run on
-    `workers` (>= 1) pool threads, never on the caller's tape, and are
-    independent, so any worker count produces bitwise-identical output.
-    Cube forwards run with numpy's OpenBLAS on one thread; the caller's
-    thread count is restored on return, also when a cube raises.
+    The volume must be 3D and finite (`as_volume`).  Argmax ties resolve to
+    the lower class index (background).  Cubes run on `workers` (>= 1) pool
+    threads, never on the caller's tape, and are independent, so any worker
+    count produces bitwise-identical output; each worker also takes its
+    cube's labels, and keeps the logits only with `retain_logits`.  Cube
+    forwards run with numpy's OpenBLAS on one thread; the caller's thread
+    count is restored on return, also when a cube raises.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    grid, cubes = partition(np.asarray(volume, dtype=np.float32), cube_shape)
+    grid, cubes = partition(as_volume(volume).astype(np.float32, copy=False), cube_shape)
 
     def run(item):
         origin, cube = item
@@ -162,13 +165,12 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
             logits = network.forward(cube[None, None], training=False).data[0]
         except Exception as exc:
             raise type(exc)(f"cube at origin {origin}: {exc}") from exc
-        return origin, logits
+        return origin, first_max(logits).astype(np.uint8), logits if retain_logits else None
 
     with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, cubes))
 
-    label_cubes = {o: np.argmax(lg, axis=0).astype(np.uint8) for o, lg in results}
-    labels = assemble(grid, label_cubes)
+    labels = assemble(grid, [(o, lab) for o, lab, _ in results])
     prov = {
         "arch": network.spec.dual_structure,
         "wavelet": network.spec.wavelet or "none",
@@ -176,7 +178,7 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
         "workers": workers,
         "blas_threads": blas_threads,
     }
-    logits_map = {o: lg for o, lg in results} if retain_logits else None
+    logits_map = {o: lg for o, _, lg in results} if retain_logits else None
     return SegmentationResult(labels, prov, logits_map)
 
 

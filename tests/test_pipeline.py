@@ -131,6 +131,31 @@ def test_segment_retains_logits_when_asked():
     assert result.cube_logits[(0, 0, 0)].shape == (2, 16, 16, 16)
 
 
+def test_segment_labels_are_argmax_of_retained_logits():
+    net = build(paper_spec("PU"), seed=6)
+    net.head.weight.data[...] = np.random.default_rng(8).standard_normal(
+        net.head.weight.data.shape).astype(np.float32)
+    vol = rng.random((20, 40, 40)).astype(np.float32)
+    result = segment_volume(vol, net, (16, 32, 32), workers=2, retain_logits=True)
+    cubes = {o: np.argmax(lg, axis=0).astype(np.uint8) for o, lg in result.cube_logits.items()}
+    expect = assemble(partition(vol, (16, 32, 32))[0], cubes)
+    assert 0 < expect.sum() < expect.size
+    assert result.labels.tobytes() == expect.tobytes()
+    plain = segment_volume(vol, net, (16, 32, 32), workers=2)
+    assert plain.cube_logits is None and plain.labels.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "2d"])
+def test_segment_rejects_non_finite_or_non_3d_volume(bad):
+    vol = np.zeros((16, 16, 16), dtype=np.float32)
+    if bad == "2d":
+        vol, err = vol[0], ShapeMismatchError
+    else:
+        vol[3, 4, 5], err = float(bad), ValueError
+    with pytest.raises(err, match="non-finite" if bad != "2d" else "3D"):
+        segment_volume(vol, _bias_network(), (16, 16, 16))
+
+
 # -- BLAS thread cap -------------------------------------------------------------
 
 OPENBLAS = pipeline._openblas()

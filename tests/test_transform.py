@@ -190,6 +190,18 @@ def test_hard_shrink_array_keeps_nan():
     np.testing.assert_array_equal(out[1:], [0.0, -1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hard_shrink_array_bytes_equal_select_form(dtype):
+    # the masked multiply gives -0.0 for small negatives; the result must carry
+    # +0.0 there, byte for byte what the select form gives
+    x = (np.random.default_rng(3).standard_normal(4096) * 0.5).astype(dtype)
+    x[:9] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, -0.25, -1e-30, 0.2500001]
+    out = hard_shrink_array(x, 0.25)
+    expect = np.where(np.abs(x) <= 0.25, np.zeros((), dtype=dtype), x)
+    assert out.dtype == dtype and out.tobytes() == expect.tobytes()
+    assert not np.any(np.signbit(out[out == 0]))
+
+
 def test_hard_shrink_idempotent():
     rng = np.random.default_rng(7)
     arrays = {t: rng.standard_normal((4, 4, 4)) for t in SUBBAND_TAGS}
@@ -203,3 +215,11 @@ def test_hard_shrink_idempotent():
 def test_shrink_config_rejects_negative():
     with pytest.raises(ValueError):
         ShrinkConfig(-0.1)
+
+
+@pytest.mark.parametrize("threshold", [np.inf, np.nan])
+def test_shrink_config_rejects_non_finite(threshold):
+    # an infinite threshold would turn +-inf into NaN (inf * 0) under the
+    # masked multiply; a NaN one would zero everything
+    with pytest.raises(ValueError):
+        ShrinkConfig(threshold)
