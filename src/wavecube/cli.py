@@ -54,9 +54,13 @@ class Parser(argparse.ArgumentParser):
 
 def _parse_shape(text: str) -> tuple[int, int, int]:
     parts = text.lower().replace("x", ",").split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected DxMxN shape, got {text!r}")
-    return tuple(int(p) for p in parts)
+    try:
+        shape = tuple(int(p) for p in parts)
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or min(shape) <= 0:
+        raise UsageError(f"expected DxMxN shape of positive integers, got {text!r}")
+    return shape
 
 
 def _provenance(cmd: str, args: argparse.Namespace) -> None:

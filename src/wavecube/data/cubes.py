@@ -24,6 +24,8 @@ class CubeRecord:
 
 def pad_to_multiple(volume: np.ndarray, cube_shape) -> np.ndarray:
     """Zero-pad at the high end so every extent is a cube-shape multiple."""
+    if any(cube <= 0 for cube in cube_shape):
+        raise ValueError(f"cube extents must be positive, got {tuple(cube_shape)}")
     pads = []
     for ext, cube in zip(volume.shape, cube_shape):
         target = ((ext + cube - 1) // cube) * cube

@@ -73,6 +73,8 @@ def load_state(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         if len(raw) != nbytes:
             raise TruncatedPayloadError(f"{path}: blob for '{name}' truncated")
         offset += nbytes
+        if code not in _DTYPES:
+            raise BadMagicError(f"{path}: unknown dtype code {code}")
         shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
         arr = np.frombuffer(raw, dtype=np.dtype(_DTYPES[code])).reshape(shape)
         state[name] = arr.copy()

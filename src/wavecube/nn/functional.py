@@ -48,6 +48,11 @@ def _check_even_spatial(x: Tensor, what: str) -> None:
 # bounds the Python overhead per block.
 _BLOCK_BYTES = 1 << 19
 
+# The lazy wavelet: with these two filters `_forward3` splits a volume into
+# its eight 2x2x2 phases, phase 4*dz + 2*dy + dx being the block entry at
+# offset (dz, dy, dx), and `_inverse3` interleaves eight phases back.
+_PHASES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
 
 class _FlatGrid:
     """A (B, C, z, y, x) batch zero-padded by `pad` >= 0 voxels a side, with
@@ -122,10 +127,32 @@ class _FlatGrid:
         return flat.reshape(b, c, self.out_len)
 
 
-def _correlate(a: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 correlation of (B, Ci, z, y, x) with (Co, Ci, k, k, k) after
+def _split(a: np.ndarray, pad: int) -> np.ndarray:
+    """(B, C, z, y, x) zero-padded by `pad` a side, and by one more at the end
+    of an odd extent, as its eight lazy-wavelet phases in phase-major
+    channels: (B, 8*C) at half the padded extents, channel d*C + c being
+    phase d of channel c."""
+    widths = [(0, 0)] * 2 + [(pad, pad + (e + 2 * pad) % 2) for e in a.shape[2:]]
+    phases = _forward3(np.pad(a, widths) if any(map(any, widths)) else a, _PHASES)
+    return np.moveaxis(phases, 0, 1).reshape((a.shape[0], -1) + phases.shape[3:])
+
+
+def _merge(p: np.ndarray, pad: int) -> np.ndarray:
+    """Adjoint of `_split`: the phases interleaved back, `pad` cropped a side."""
+    phases = np.moveaxis(p.reshape((p.shape[0], 8, -1) + p.shape[2:]), 1, 0)
+    crop = (slice(pad, 2 * e - pad) for e in p.shape[2:])
+    return np.ascontiguousarray(_inverse3(phases, _PHASES)[(..., *crop)])
+
+
+def _correlate(a: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
+    """Correlation of (B, Ci, z, y, x) with (Co, Ci, k, k, k) after
     zero-padding every spatial side by `pad`: per gathered block, k gemms
-    (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset slices, accumulated."""
+    (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset slices, accumulated.
+
+    Stride 2 is the stride-1 correlation of the padded input's phases with
+    the even-padded kernel's: tap 2s + d reads phase d at offset s."""
+    if stride == 2:
+        return _correlate(_split(a, pad), _split(w, 0), 0)
     co, k = w.shape[0], w.shape[2]
     grid = _FlatGrid(a, pad, k)
     w_l = [np.ascontiguousarray(w[..., l]).reshape(co, -1) for l in range(k)]
@@ -142,12 +169,18 @@ def _correlate(a: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _correlate_adjoint(a: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray,
-                       want_a: bool, want_w: bool):
-    """Gradients (ga, gw) of `_correlate(a, w, pad)` for the cotangent `g`,
-    None where not wanted.  `ga` is `_correlate` of `g` with the flipped,
+                       want_a: bool, want_w: bool, stride: int = 1):
+    """Gradients (ga, gw) of `_correlate(a, w, pad, stride)` for the cotangent
+    `g`, None where not wanted.  `ga` is `_correlate` of `g` with the flipped,
     (Co, Ci)-transposed kernel; `gw` gathers the padded input again, block
-    by block, so nothing beyond `a` has to be kept from the forward."""
+    by block, so nothing beyond `a` has to be kept from the forward.  Stride
+    2 merges the phase gradients back; `a` may be None unless `want_w`."""
     co, ci, k = w.shape[:3]
+    if stride == 2:
+        ga, gw = _correlate_adjoint(_split(a, pad) if want_w else None, _split(w, 0), 0, g,
+                                    want_a, want_w)
+        return (_merge(ga, pad) if want_a else None,
+                np.ascontiguousarray(_merge(gw, 0)[..., :k, :k, :k]) if want_w else None)
     ga = gw = None
     if want_w:
         grid = _FlatGrid(a, pad, k)
@@ -165,12 +198,13 @@ def _correlate_adjoint(a: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray,
 
 
 def _conv3_backward(x: Tensor, weight: Tensor, bias: Tensor | None, pad: int,
-                    g: np.ndarray) -> None:
-    """Accumulate the gradients of `_correlate(x, weight, pad) + bias` for the
-    cotangent `g` into whichever of the three want one."""
+                    g: np.ndarray, stride: int = 1) -> None:
+    """Accumulate the gradients of `_correlate(x, weight, pad, stride) + bias`
+    for the cotangent `g` into whichever of the three want one."""
     if bias is not None and wants_grad(bias):
         bias._accumulate(g.sum(axis=_AXES))
-    gx, gw = _correlate_adjoint(x.data, weight.data, pad, g, wants_grad(x), wants_grad(weight))
+    gx, gw = _correlate_adjoint(x.data, weight.data, pad, g, wants_grad(x), wants_grad(weight),
+                                stride)
     if gw is not None:
         weight._accumulate(gw)
     if gx is not None:
@@ -183,23 +217,14 @@ def _check_conv3_input(x: Tensor, ci: int, op: str) -> None:
         raise ChannelMismatchError(f"{op} expected {ci} input channels, got {x.data.shape[1]}")
 
 
-def _dilate(a: np.ndarray, sp) -> np.ndarray:
-    """`a` on the even positions of a zero grid of spatial extents `sp`: the
-    transpose of taking a stride-1 result at `[::2, ::2, ::2]`."""
-    out = np.zeros(a.shape[:2] + tuple(sp), dtype=a.dtype)
-    out[:, :, ::2, ::2, ::2] = a
-    return out
-
-
 def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
           padding: int | None = None) -> Tensor:
     """3D convolution; kernel is cubic, default padding keeps extents (stride 1)
     or halves them exactly (stride 2, even inputs).  `padding` lies in
     0..k-1.
 
-    Stride 2 is the stride-1 result subsampled at even positions; its adjoint
-    dilates the cotangent back and runs the stride-1 adjoint,
-    `_correlate_adjoint`, which keeps nothing beyond `x` and `weight`."""
+    Stride 2 runs on the input's lazy-wavelet phases; the adjoint,
+    `_correlate_adjoint`, keeps nothing beyond `x` and `weight`."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[1], "conv3")
     k = weight.data.shape[2]
@@ -212,19 +237,13 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     elif stride != 1:
         raise ValueError(f"stride must be 1 or 2, got {stride}")
 
-    out = _correlate(x.data, weight.data, padding)
-    full_sp = out.shape[2:]
-    if stride == 2:
-        out = np.ascontiguousarray(out[:, :, ::2, ::2, ::2])
+    out = _correlate(x.data, weight.data, padding, stride)
     if bias is not None:
         out += _col(bias.data)
     result = Tensor(out)
 
     def adjoint(grads):
-        g = grads[0]
-        if stride == 2:
-            g = _dilate(g, full_sp)
-        _conv3_backward(x, weight, bias, padding, g)
+        _conv3_backward(x, weight, bias, padding, grads[0], stride)
 
     record(result, adjoint)
     return result
@@ -240,14 +259,13 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     The exact transpose of `sconv2` on the same (Ci, Co, 2, 2, 2) weight,
     which `sconv2` reads as mapping Co channels to Ci: the forward is that
-    op's input gradient, `_correlate_adjoint` of the dilated `x`; the input
+    op's input gradient, a channel mix to 8*Co phases merged back; the input
     gradient is its forward; the weight gradient is `_correlate_adjoint`'s
-    with the cotangent as input and the dilated `x` as cotangent."""
+    with the cotangent as input and `x` as cotangent."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[0], "deconv3")
     w = weight.data
-    sp = tuple(2 * e - 1 for e in x.data.shape[2:])
-    out = _correlate_adjoint(None, w, 0, _dilate(x.data, sp), True, False)[0]
+    out = _correlate_adjoint(None, w, 0, x.data, True, False, 2)[0]
     if bias is not None:
         out += _col(bias.data)
     result = Tensor(out)
@@ -257,9 +275,9 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None and wants_grad(bias):
             bias._accumulate(g.sum(axis=_AXES))
         if wants_grad(weight):
-            weight._accumulate(_correlate_adjoint(g, w, 0, _dilate(x.data, sp), False, True)[1])
+            weight._accumulate(_correlate_adjoint(g, w, 0, x.data, False, True, 2)[1])
         if wants_grad(x):
-            x._accumulate(np.ascontiguousarray(_correlate(g, w, 0)[:, :, ::2, ::2, ::2]))
+            x._accumulate(_correlate(g, w, 0, 2))
 
     record(result, adjoint)
     return result
@@ -460,12 +478,6 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling / unpooling
 # ---------------------------------------------------------------------------
-
-# The lazy wavelet: with these two filters `_forward3` splits a volume into
-# its eight 2x2x2 phases, phase 4*dz + 2*dy + dx being the block entry at
-# offset (dz, dy, dx), and `_inverse3` interleaves eight phases back.
-_PHASES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
 
 def first_max(stack: np.ndarray) -> np.ndarray:
     """numpy's argmax over axis 0, in whole-array passes: the index along the

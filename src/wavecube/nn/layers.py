@@ -46,8 +46,8 @@ class Conv3(Layer):
 
 class SConv2(Layer):
     """2x2x2 stride-2 down-sampling convolution: `F.conv3` at stride 2 without
-    padding.  Its (Co, Ci) weight mirrors Deconv2's (Ci, Co) parameter for
-    parameter."""
+    padding, a channel mix of the input's eight 2x2x2 phases.  Its (Co, Ci)
+    weight mirrors Deconv2's (Ci, Co) parameter for parameter."""
 
     def __init__(self, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
@@ -63,7 +63,8 @@ class SConv2(Layer):
 
 class Deconv2(Layer):
     """2x2x2 stride-2 transposed convolution (exact doubling): the transpose
-    of SConv2's convolution, run on the same kernel as `F.conv3`."""
+    of SConv2's convolution, a channel mix to eight 2x2x2 phases per output
+    channel, interleaved back, run on the same kernel as `F.conv3`."""
 
     def __init__(self, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):

@@ -82,8 +82,11 @@ def _along(axis: int, index: slice) -> tuple:
 
 def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
     """`a` extended periodically along `axis`, by any number of entries."""
-    n = a.shape[axis]
-    return np.take(a, np.arange(-before, n + after) % n, axis=axis) if before or after else a
+    if not (before or after):
+        return a
+    widths = [(0, 0)] * a.ndim
+    widths[axis] = (before, after)
+    return np.pad(a, widths, mode="wrap")
 
 
 def _weighted_sum(dst: np.ndarray, terms, tmp: np.ndarray) -> None:

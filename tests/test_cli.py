@@ -210,6 +210,25 @@ def test_segment_non_finite_volume_exits_2(tmp_path, capsys):
     assert not (tmp_path / "seg.nvol").exists()
 
 
+def test_segment_unknown_checkpoint_dtype_code_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    save_state(ckpt, {"a": np.ones(3, dtype=np.float32)}, paper_spec("PU").to_config())
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"a f4 3 12\n", b"a f2 3 12\n"))
+    vol = tmp_path / "big.nvol"
+    write_volume(vol, np.zeros((16, 16, 16), dtype=np.float32))
+    assert main(["segment", "--ckpt", str(ckpt), "--in", str(vol),
+                 "--out", str(tmp_path / "seg.nvol"), "--cube-shape", "16x16x16"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"data error: {ckpt}: unknown dtype code f2"
+
+
+@pytest.mark.parametrize("shape", ["ax64x64", "0x64x64", "16x-64x64", "16x64"])
+def test_bad_shape_exits_1(tmp_path, capsys, shape):
+    assert main(["gen-phantom", "--out", str(tmp_path / "cubes"), "--count", "1",
+                 "--shape", shape]) == 1
+    assert "expected DxMxN shape of positive integers" in capsys.readouterr().err
+
+
 def test_segment_checkpoint_weights_not_matching_spec_exits_2(tmp_path, capsys):
     # four-level weights under a three-level spec: enc4/dec4 entries are unknown
     spec = NetworkSpec(dual_structure="PU", levels=3,

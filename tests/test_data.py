@@ -174,6 +174,12 @@ def test_pad_to_multiple():
     assert padded[:40, :130, :].sum() == v.sum()
 
 
+@pytest.mark.parametrize("cube_shape", [(0, 128, 128), (-16, 32, 32)])
+def test_pad_to_multiple_rejects_non_positive_extents(cube_shape):
+    with pytest.raises(ValueError, match="cube extents must be positive"):
+        pad_to_multiple(np.ones((40, 130, 128)), cube_shape)
+
+
 def test_cut_exact_size_volume_origin_zero():
     img = rng.standard_normal((8, 16, 16)).astype(np.float32)
     lbl = np.ones((8, 16, 16), dtype=np.uint8)

@@ -297,7 +297,8 @@ def conv3_reference(x, w, b, stride, padding):
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("ci,co,k,padding", [(1, 4, 3, 1), (3, 2, 1, 0), (5, 1, 3, 1),
-                                             (2, 3, 2, 0), (2, 2, 3, 0), (2, 2, 3, 2)])
+                                             (2, 3, 2, 0), (2, 2, 3, 0), (2, 2, 3, 2),
+                                             (2, 2, 4, 1), (2, 3, 2, 1)])
 def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
     local = np.random.default_rng(100 * ci + 10 * co + stride)
     x = Tensor(local.standard_normal((2, ci, 4, 6, 8)), dtype=np.float64)
@@ -328,6 +329,7 @@ def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
                                       padding=padding), probe).data)
 
     for param, scalar, p0 in ((w, scalar_w, w0), (b, scalar_b, b0)):
+        assert param.grad.shape == p0.shape
         fd = numeric_grad(scalar, p0, list(np.ndindex(*p0.shape)))
         for idx, expect in fd.items():
             assert abs(param.grad[idx] - expect) <= 1e-6 * max(abs(expect), 1.0), (
@@ -661,6 +663,17 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE pretend checkpoint")
     from wavecube.errors import BadMagicError
     with pytest.raises(BadMagicError):
+        load_state(path)
+
+
+def test_checkpoint_unknown_dtype_code(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_state(path, {"a": np.ones(3, dtype=np.float32)})
+    raw = path.read_bytes()
+    assert b"a f4 3 12\n" in raw
+    path.write_bytes(raw.replace(b"a f4 3 12\n", b"a f2 3 12\n"))
+    from wavecube.errors import BadMagicError
+    with pytest.raises(BadMagicError, match="unknown dtype code f2"):
         load_state(path)
 
 
