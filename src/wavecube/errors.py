@@ -44,6 +44,11 @@ class TapeConsumedError(WavecubeError):
     """backward() was called twice on the same gradient tape."""
 
 
+class TapeMisuseError(WavecubeError):
+    """A gradient tape was closed in a thread other than the one that opened
+    it, or before a tape opened inside it."""
+
+
 class NonFiniteGradientError(WavecubeError):
     """A parameter gradient contains NaN or Inf; carries the layer path."""
 

@@ -6,6 +6,11 @@ that opened it, append one record per op (a Wengert list).
 adjoint closure.  Creation order is already a topological order, so no
 graph search is needed.  Outside a tape, ops run in inference mode and
 record nothing.
+
+Every op is declared through `op(outputs, inputs, vjp)`: the op computes
+its output arrays, and its `vjp` returns one cotangent per input.  The
+tape alone decides which inputs need a gradient, adds the cotangents and
+checks their shapes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import threading
 
 import numpy as np
 
-from ..errors import TapeConsumedError
+from ..errors import ShapeMismatchError, TapeConsumedError, TapeMisuseError
 
 
 class _TapeStack(threading.local):
@@ -56,6 +61,9 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        if g.shape != self.data.shape:
+            raise ShapeMismatchError(
+                f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}")
         if self.grad is None:
             self.grad = g.astype(self.data.dtype, copy=True)
         else:
@@ -81,8 +89,11 @@ class GradientTape:
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.tapes.pop()
-        assert popped is self
+        tapes = _TAPE_STACK.tapes
+        if not (tapes and tapes[-1] is self):
+            raise TapeMisuseError(
+                "a gradient tape must be closed innermost first, in the thread that opened it")
+        tapes.pop()
         return False
 
     def __len__(self):
@@ -109,13 +120,37 @@ def record(outputs, adjoint) -> None:
 
     `adjoint(grads)` receives one cotangent per output (zeros for outputs
     no gradient flowed into) and must accumulate into the op's parents via
-    `Tensor._accumulate`.
+    `Tensor._accumulate`.  `op` builds every such adjoint.
     """
     tape = active_tape()
     if tape is not None:
         if not isinstance(outputs, tuple):
             outputs = (outputs,)
         tape._append(outputs, adjoint)
+
+
+def op(outputs, inputs, vjp):
+    """Wrap an op's output array, or tuple of arrays, in Tensors and record
+    them on the active tape; returns the Tensors in the form given.
+
+    `vjp(grads, needs)` gets one cotangent per output and, per input in
+    `inputs`, whether that input needs a gradient.  It returns one cotangent
+    per input; the tape adds those that are needed, with a shape check, and
+    ignores the rest, which may be None.  `vjp` is not called when no input
+    needs a gradient.
+    """
+    results = tuple(map(Tensor, outputs)) if isinstance(outputs, tuple) else (Tensor(outputs),)
+
+    def adjoint(grads):
+        needs = tuple(wants_grad(t) for t in inputs)
+        if not any(needs):
+            return
+        for t, need, g in zip(inputs, needs, vjp(grads, needs), strict=True):
+            if need:
+                t._accumulate(g)
+
+    record(results, adjoint)
+    return results if isinstance(outputs, tuple) else results[0]
 
 
 def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:

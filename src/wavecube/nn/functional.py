@@ -1,10 +1,12 @@
 """Differentiable ops over 5D activations (batch, channels, z, y, x).
 
-Every op computes its forward result eagerly and registers an adjoint
-closure on the active gradient tape.  Adjoints are exact transposes of the
-forward linear maps (a convolution's input gradient correlates the
-cotangent with the flipped kernel, the DWT layer's backward is synthesis
-with the decomposition filters, etc.).
+Every op computes its forward result eagerly and declares itself once,
+through `autograd.op(outputs, inputs, vjp)`: its vjp returns one cotangent
+per input, None where `needs` says none is wanted, and the tape adds them
+and checks their shapes.
+Vjps are exact transposes of the forward linear maps (a convolution's
+input gradient correlates the cotangent with the flipped kernel, the DWT
+layer's backward is synthesis with the decomposition filters, etc.).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 from ..errors import ChannelMismatchError, OddExtentError, ShapeMismatchError
 from ..filters import FilterBank
 from ..transform import _forward3, _inverse3, hard_shrink_array
-from .autograd import Tensor, as_tensor, record, wants_grad
+from .autograd import Tensor, as_tensor, op
 
 
 _AXES = (0, 2, 3, 4)  # every axis but channels
@@ -197,24 +199,19 @@ def _correlate_adjoint(a: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray,
     return ga, gw
 
 
-def _conv3_backward(x: Tensor, weight: Tensor, bias: Tensor | None, pad: int,
-                    g: np.ndarray, stride: int = 1) -> None:
-    """Accumulate the gradients of `_correlate(x, weight, pad, stride) + bias`
-    for the cotangent `g` into whichever of the three want one."""
-    if bias is not None and wants_grad(bias):
-        bias._accumulate(g.sum(axis=_AXES))
-    gx, gw = _correlate_adjoint(x.data, weight.data, pad, g, wants_grad(x), wants_grad(weight),
-                                stride)
-    if gw is not None:
-        weight._accumulate(gw)
-    if gx is not None:
-        x._accumulate(gx)
+def _conv3_vjp(x: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray, needs,
+               stride: int = 1):
+    """Gradients (gx, gw, gb) of `_correlate(x, w, pad, stride) + bias` for
+    the cotangent `g`, None where `needs` is false."""
+    gb = g.sum(axis=_AXES) if needs[2] else None
+    gx, gw = _correlate_adjoint(x, w, pad, g, needs[0], needs[1], stride)
+    return gx, gw, gb
 
 
-def _check_conv3_input(x: Tensor, ci: int, op: str) -> None:
+def _check_conv3_input(x: Tensor, ci: int, name: str) -> None:
     _check_5d(x)
     if x.data.shape[1] != ci:
-        raise ChannelMismatchError(f"{op} expected {ci} input channels, got {x.data.shape[1]}")
+        raise ChannelMismatchError(f"{name} expected {ci} input channels, got {x.data.shape[1]}")
 
 
 def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
@@ -240,13 +237,9 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     out = _correlate(x.data, weight.data, padding, stride)
     if bias is not None:
         out += _col(bias.data)
-    result = Tensor(out)
-
-    def adjoint(grads):
-        _conv3_backward(x, weight, bias, padding, grads[0], stride)
-
-    record(result, adjoint)
-    return result
+    return op(out, (x, weight, bias),
+              lambda grads, needs: _conv3_vjp(x.data, weight.data, padding, grads[0], needs,
+                                              stride))
 
 
 def sconv2(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -268,19 +261,14 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out = _correlate_adjoint(None, w, 0, x.data, True, False, 2)[0]
     if bias is not None:
         out += _col(bias.data)
-    result = Tensor(out)
 
-    def adjoint(grads):
+    def vjp(grads, needs):
         g = grads[0]
-        if bias is not None and wants_grad(bias):
-            bias._accumulate(g.sum(axis=_AXES))
-        if wants_grad(weight):
-            weight._accumulate(_correlate_adjoint(g, w, 0, x.data, False, True, 2)[1])
-        if wants_grad(x):
-            x._accumulate(_correlate(g, w, 0, 2))
+        return (_correlate(g, w, 0, 2) if needs[0] else None,
+                _correlate_adjoint(g, w, 0, x.data, False, True, 2)[1] if needs[1] else None,
+                g.sum(axis=_AXES) if needs[2] else None)
 
-    record(result, adjoint)
-    return result
+    return op(out, (x, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +301,25 @@ def _normalize(a: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray
     return xhat
 
 
-def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, beta: Tensor,
+def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
                        inv_std: np.ndarray, training: bool, want_x: bool):
-    """BN's backward for the cotangent `g` of gamma*xhat + beta: accumulates
-    into gamma and beta and returns the input gradient (None unless
-    `want_x`).  In training the gradient also flows through the batch
-    statistics: gx = gamma*inv_std * (g - (g_beta + xhat*g_gamma) / count),
-    with g_beta and g_gamma the two parameter gradients."""
+    """BN's backward for the cotangent `g` of gamma*xhat + beta: the
+    gradients (gx, g_gamma, g_beta), gx None unless `want_x`.  In training
+    the gradient also flows through the batch statistics:
+    gx = gamma*inv_std * (g - (g_beta + xhat*g_gamma) / count)."""
     g_beta = g.sum(axis=_AXES)
     g_gamma = (g * xhat).sum(axis=_AXES)
-    if wants_grad(beta):
-        beta._accumulate(g_beta)
-    if wants_grad(gamma):
-        gamma._accumulate(g_gamma)
     if not want_x:
-        return None
-    scale = _col(gamma.data * inv_std)
+        return None, g_gamma, g_beta
+    scale = _col(gamma * inv_std)
     if not training:
-        return g * scale
+        return g * scale, g_gamma, g_beta
     count = g.size // g.shape[1]
     gx = xhat * _col(g_gamma / count)
     gx += _col(g_beta / count)
     np.subtract(g, gx, out=gx)
     gx *= scale
-    return gx
+    return gx, g_gamma, g_beta
 
 
 def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -355,15 +338,9 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         var = running_var.astype(x.data.dtype, copy=False)
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = _normalize(x.data, mu, inv_std)
-    result = Tensor(_col(gamma.data) * xhat + _col(beta.data))
-
-    def adjoint(grads):
-        gx = _batchnorm_adjoint(grads[0], xhat, gamma, beta, inv_std, training, wants_grad(x))
-        if gx is not None:
-            x._accumulate(gx)
-
-    record(result, adjoint)
-    return result
+    return op(_col(gamma.data) * xhat + _col(beta.data), (x, gamma, beta),
+              lambda grads, needs: _batchnorm_adjoint(grads[0], xhat, gamma.data, inv_std,
+                                                      training, needs[0]))
 
 
 def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
@@ -406,35 +383,27 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
         out = _correlate(x.data, weight.data * scale[:, None, None, None, None], pad)
         out += _col((bias.data - mu) * scale + beta.data)
     np.maximum(out, np.zeros((), dtype=out.dtype), out=out)
-    result = Tensor(out)
 
-    def adjoint(grads):
-        # result > 0 selects the same entries as relu's input > 0, NaN
-        # included; the masked cotangent and xhat are freed before the conv's
-        # backward runs
-        want_z = wants_grad(x) or wants_grad(weight) or wants_grad(bias)
-        gz = _batchnorm_adjoint(grads[0] * (result.data > 0),
-                                _normalize(conv_out() if z is None else z, mu, inv_std),
-                                gamma, beta, inv_std, training, want_z)
-        if gz is not None:
-            _conv3_backward(x, weight, bias, pad, gz)
+    def vjp(grads, needs):
+        # out > 0 selects the same entries as relu's input > 0, NaN included;
+        # the masked cotangent and xhat are freed before the conv's backward
+        # runs
+        gz, g_gamma, g_beta = _batchnorm_adjoint(
+            grads[0] * (out > 0), _normalize(conv_out() if z is None else z, mu, inv_std),
+            gamma.data, inv_std, training, any(needs[:3]))
+        if gz is None:
+            return None, None, None, g_gamma, g_beta
+        return (*_conv3_vjp(x.data, weight.data, pad, gz, needs), g_gamma, g_beta)
 
-    record(result, adjoint)
-    return result
+    return op(out, (x, weight, bias, gamma, beta), vjp)
 
 
 def relu(x) -> Tensor:
     """max(x, 0); NaN stays NaN, so a non-finite forward reaches the loss."""
     x = as_tensor(x)
-    result = Tensor(np.maximum(x.data, np.zeros((), dtype=x.data.dtype)))
-
-    def adjoint(grads):
-        # result > 0 selects the same entries as x > 0, NaN included
-        if wants_grad(x):
-            x._accumulate(grads[0] * (result.data > 0))
-
-    record(result, adjoint)
-    return result
+    out = np.maximum(x.data, np.zeros((), dtype=x.data.dtype))
+    # out > 0 selects the same entries as x > 0, NaN included
+    return op(out, (x,), lambda grads, needs: (grads[0] * (out > 0),))
 
 
 def concat_channels(a, b) -> Tensor:
@@ -445,17 +414,8 @@ def concat_channels(a, b) -> Tensor:
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise ShapeMismatchError(f"concat_channels batch/spatial mismatch: {sa} vs {sb}")
     split = sa[1]
-    result = Tensor(np.concatenate([a.data, b.data], axis=1))
-
-    def adjoint(grads):
-        g = grads[0]
-        if wants_grad(a):
-            a._accumulate(g[:, :split])
-        if wants_grad(b):
-            b._accumulate(g[:, split:])
-
-    record(result, adjoint)
-    return result
+    return op(np.concatenate([a.data, b.data], axis=1), (a, b),
+              lambda grads, needs: (grads[0][:, :split], grads[0][:, split:]))
 
 
 def hard_shrink_layer(x, threshold: float) -> Tensor:
@@ -464,15 +424,9 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
 
     Gradient passes through kept coefficients and is zero elsewhere."""
     x = as_tensor(x)
-    result = Tensor(hard_shrink_array(x.data, threshold))
-
-    def adjoint(grads):
-        # threshold >= 0, so result != 0 selects exactly |x| > threshold, NaN included
-        if wants_grad(x):
-            x._accumulate(grads[0] * (result.data != 0))
-
-    record(result, adjoint)
-    return result
+    out = hard_shrink_array(x.data, threshold)
+    # threshold >= 0, so out != 0 selects exactly |x| > threshold, NaN included
+    return op(out, (x,), lambda grads, needs: (grads[0] * (out != 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +468,8 @@ def maxpool2_with_indices(x) -> tuple[Tensor, np.ndarray]:
     _check_even_spatial(x, "maxpool2")
     phases = _forward3(x.data, _PHASES)
     indices = first_max(phases)
-    result = Tensor(np.take_along_axis(phases, indices[None], axis=0)[0])
-
-    def adjoint(grads):
-        if wants_grad(x):
-            x._accumulate(_place(grads[0], indices))
-
-    record(result, adjoint)
+    result = op(np.take_along_axis(phases, indices[None], axis=0)[0], (x,),
+                lambda grads, needs: (_place(grads[0], indices),))
     return result, indices
 
 
@@ -531,15 +480,8 @@ def maxunpool2(x, indices: np.ndarray) -> Tensor:
     if x.data.shape != indices.shape:
         raise ShapeMismatchError(
             f"maxunpool2 values/indices mismatch: {x.data.shape} vs {indices.shape}")
-    result = Tensor(_place(x.data, indices))
-
-    def adjoint(grads):
-        if wants_grad(x):
-            phases = _forward3(grads[0], _PHASES)
-            x._accumulate(np.take_along_axis(phases, indices[None], axis=0)[0])
-
-    record(result, adjoint)
-    return result
+    return op(_place(x.data, indices), (x,), lambda grads, needs: (
+        np.take_along_axis(_forward3(grads[0], _PHASES), indices[None], axis=0)[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +520,14 @@ def interpolate2(x) -> Tensor:
     out = x.data
     for axis in (2, 3, 4):
         out = np.moveaxis(_linear_up_last(np.moveaxis(out, axis, -1)), -1, axis)
-    result = Tensor(out)
 
-    def adjoint(grads):
-        if wants_grad(x):
-            g = grads[0]
-            for axis in (4, 3, 2):
-                g = np.moveaxis(_linear_up_last_adjoint(np.moveaxis(g, axis, -1)), -1, axis)
-            x._accumulate(g)
+    def vjp(grads, needs):
+        g = grads[0]
+        for axis in (4, 3, 2):
+            g = np.moveaxis(_linear_up_last_adjoint(np.moveaxis(g, axis, -1)), -1, axis)
+        return (g,)
 
-    record(result, adjoint)
-    return result
+    return op(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +545,13 @@ def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
     _check_5d(x)
     _check_even_spatial(x, "dwt_layer")
     s = _forward3(x.data, (bank.lo_dec, bank.hi_dec))
-    low = Tensor(s[0])
-    highs = Tensor(s[1:].reshape((-1,) + s.shape[2:]))
 
-    def adjoint(grads):
-        if wants_grad(x):
-            g_low, g_highs = grads
-            x._accumulate(_inverse3([g_low, *g_highs.reshape((7,) + g_low.shape)],
-                                    (bank.lo_dec, bank.hi_dec)))
+    def vjp(grads, needs):
+        g_low, g_highs = grads
+        return (_inverse3([g_low, *g_highs.reshape((7,) + g_low.shape)],
+                          (bank.lo_dec, bank.hi_dec)),)
 
-    record((low, highs), adjoint)
-    return low, highs
+    return op((s[0], s[1:].reshape((-1,) + s.shape[2:])), (x,), vjp)
 
 
 def dwt_low_layer(x, bank: FilterBank) -> Tensor:
@@ -625,14 +560,8 @@ def dwt_low_layer(x, bank: FilterBank) -> Tensor:
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "dwt_low_layer")
-    result = Tensor(_forward3(x.data, (bank.lo_dec,))[0])
-
-    def adjoint(grads):
-        if wants_grad(x):
-            x._accumulate(_inverse3(grads, (bank.lo_dec,)))
-
-    record(result, adjoint)
-    return result
+    return op(_forward3(x.data, (bank.lo_dec,))[0], (x,),
+              lambda grads, needs: (_inverse3(grads, (bank.lo_dec,)),))
 
 
 def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
@@ -645,18 +574,14 @@ def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
         raise ShapeMismatchError(
             f"idwt_layer highs must be {expect} for low {low.data.shape}, "
             f"got {highs.data.shape}")
-    result = Tensor(_inverse3([low.data, *highs.data.reshape((7,) + low.data.shape)],
-                              (bank.lo_rec, bank.hi_rec)))
+    out = _inverse3([low.data, *highs.data.reshape((7,) + low.data.shape)],
+                    (bank.lo_rec, bank.hi_rec))
 
-    def adjoint(grads):
+    def vjp(grads, needs):
         gsub = _forward3(grads[0], (bank.lo_rec, bank.hi_rec))
-        if wants_grad(low):
-            low._accumulate(gsub[0])
-        if wants_grad(highs):
-            highs._accumulate(gsub[1:].reshape(expect))
+        return gsub[0], gsub[1:].reshape(expect)
 
-    record(result, adjoint)
-    return result
+    return op(out, (low, highs), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +592,5 @@ def tensor_dot(x, const) -> Tensor:
     """Scalar inner product with a constant array (adjoint probe helper)."""
     x = as_tensor(x)
     c = np.asarray(const, dtype=x.data.dtype)
-    result = Tensor(np.asarray((x.data * c).sum(), dtype=x.data.dtype))
-
-    def adjoint(grads):
-        if wants_grad(x):
-            x._accumulate(grads[0] * c)
-
-    record(result, adjoint)
-    return result
+    return op(np.asarray((x.data * c).sum(), dtype=x.data.dtype), (x,),
+              lambda grads, needs: (grads[0] * c,))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 
 from .arch import Network, NetworkSpec, build
 from .errors import NonFiniteGradientError, NonFiniteLossError
-from .nn.autograd import GradientTape, Tensor, as_tensor, backward, record, wants_grad
+from .nn.autograd import GradientTape, Tensor, as_tensor, backward, op
 from .nn.checkpoint import save_state
 from .nn.functional import first_max
 from .pipeline import iou_counts, iou_from_counts
@@ -34,6 +35,9 @@ class TrainConfig:
             raise ValueError("epochs, base_lr and batch_size must be positive")
         if len(self.class_weights) != 2:
             raise ValueError("class_weights must have length 2")
+        if not all(0.0 <= w < math.inf for w in self.class_weights) or not any(self.class_weights):
+            raise ValueError("class_weights must be finite, non-negative and not all zero, "
+                             f"got {self.class_weights}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
@@ -70,17 +74,14 @@ def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
     w_vox = w[labels]
     total_w = w_vox.sum()
     loss_val = -(w_vox * logp_y).sum() / total_w
-    result = Tensor(np.asarray(loss_val, dtype=logits.data.dtype))
 
-    def adjoint(grads):
-        if wants_grad(logits):
-            onehot = np.zeros_like(softmax)
-            np.put_along_axis(onehot, labels_e, 1.0, axis=1)
-            g = (softmax - onehot) * (w_vox / total_w)[:, None]
-            logits._accumulate(g * grads[0])
+    def vjp(grads, needs):
+        onehot = np.zeros_like(softmax)
+        np.put_along_axis(onehot, labels_e, 1.0, axis=1)
+        g = (softmax - onehot) * (w_vox / total_w)[:, None]
+        return (g * grads[0],)
 
-    record(result, adjoint)
-    return result
+    return op(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), vjp)
 
 
 def poly_lr(iteration: int, max_iter: int, cfg: TrainConfig) -> float:

@@ -1,3 +1,5 @@
+import inspect
+import re
 import threading
 
 import numpy as np
@@ -11,7 +13,9 @@ from wavecube.errors import (
     OddExtentError,
     ShapeMismatchError,
     TapeConsumedError,
+    TapeMisuseError,
 )
+from wavecube import train
 from wavecube.filters import builtin_bank
 from wavecube.nn import (
     GradientTape,
@@ -35,6 +39,8 @@ from wavecube.nn import (
     sconv2,
     tensor_dot,
 )
+from wavecube.nn import functional
+from wavecube.nn.autograd import _TAPE_STACK, op
 from wavecube.nn.functional import first_max
 from wavecube.transform import _forward3, _inverse3
 
@@ -637,6 +643,81 @@ def test_tape_is_per_thread(first):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(tapes["A"]) == 0 and len(tapes["B"]) == 0
+
+
+def test_tape_closed_in_another_thread_raises_and_keeps_both_stacks():
+    tape = GradientTape()
+    tape.__enter__()
+    seen = []
+
+    def close_here():
+        try:
+            tape.__exit__(None, None, None)
+        except TapeMisuseError:
+            seen.append(list(_TAPE_STACK.tapes))
+
+    try:
+        worker = threading.Thread(target=close_here)
+        worker.start()
+        worker.join(timeout=30)
+        assert seen == [[]]
+        assert _TAPE_STACK.tapes[-1] is tape
+    finally:
+        tape.__exit__(None, None, None)
+    assert tape not in _TAPE_STACK.tapes
+
+
+def test_nested_tapes_closed_out_of_order_raise_and_keep_the_stack():
+    outer, inner = GradientTape(), GradientTape()
+    with outer:
+        with inner:
+            before = list(_TAPE_STACK.tapes)
+            with pytest.raises(TapeMisuseError):
+                outer.__exit__(None, None, None)
+            assert _TAPE_STACK.tapes == before
+    assert outer not in _TAPE_STACK.tapes and inner not in _TAPE_STACK.tapes
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 1), (3, 2)])
+def test_wrongly_shaped_cotangent_raises_at_the_tape(shape):
+    # the first accumulation into `x` is checked, not only later ones
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with GradientTape() as tape:
+        loss = ones_dot(op(2 * x.data, (x,), lambda grads, needs: (np.ones(shape),)))
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"{shape}")) as err:
+        backward(tape, loss)
+    assert "(2, 3)" in str(err.value)
+    assert x.grad is None
+
+
+def test_op_accumulates_needed_cotangents_only():
+    a = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
+    frozen = Tensor(np.ones((1, 1, 2, 2, 2)))
+    calls = []
+
+    def vjp(grads, needs):
+        calls.append(needs)
+        return grads[0], grads[0]
+
+    def unreachable(grads, needs):
+        raise AssertionError("vjp called with no input needing a gradient")
+
+    with GradientTape() as tape:
+        y = op(a.data + frozen.data, (a, frozen), vjp)
+        z = op(2 * frozen.data, (frozen,), unreachable)
+        loss = ones_dot(concat_channels(y, z))
+    backward(tape, loss)
+    assert calls == [(True, False)]
+    np.testing.assert_array_equal(a.grad, np.ones_like(a.data))
+    assert frozen.grad is None
+
+
+def test_ops_and_loss_leave_gradient_plumbing_to_the_tape():
+    # every op is declared through `autograd.op`, the one place that asks
+    # which inputs need a gradient, accumulates and records
+    for module in (functional, train):
+        calls = re.findall(r"wants_grad\(|\._accumulate\(|\brecord\(", inspect.getsource(module))
+        assert calls == [], f"{module.__name__} calls {calls}"
 
 
 # -- checkpoint container --------------------------------------------------------

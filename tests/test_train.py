@@ -6,6 +6,7 @@ import pytest
 from wavecube.arch import paper_spec
 from wavecube.data import PhantomConfig, generate_phantom_dataset
 from wavecube.errors import NonFiniteGradientError, NonFiniteLossError
+from wavecube.estimator import WaveUNetSegmenter
 from wavecube.nn import GradientTape, Tensor, backward
 from wavecube.train import (
     TrainConfig,
@@ -193,6 +194,20 @@ def test_train_config_rejects_val_fraction_outside_unit_interval(fraction):
         TrainConfig(val_fraction=fraction)
     for ok in (0.0, 0.5, 0.99):
         assert TrainConfig(val_fraction=ok).val_fraction == ok
+
+
+@pytest.mark.parametrize("weights", [(0.0, 0.0), (1.0, -5.0), (float("nan"), 1.0),
+                                     (1.0, float("inf"))])
+def test_train_config_rejects_class_weights_it_cannot_train_with(weights):
+    # all-zero and NaN weights would only fail at step 1 as a non-finite
+    # loss; a negative weight would train away from its class
+    with pytest.raises(ValueError, match="class_weights"):
+        TrainConfig(class_weights=weights)
+    cubes = np.zeros((1, 16, 16, 16), dtype=np.float32)
+    with pytest.raises(ValueError, match="class_weights"):
+        WaveUNetSegmenter(class_weights=weights).fit(cubes, cubes.astype(np.int64))
+    for ok in ((1.0, 5.0), (0.0, 1.0), (2.5, 0.0)):
+        assert TrainConfig(class_weights=ok).class_weights == ok
 
 
 def test_fit_rejects_empty_dataset():
