@@ -1,13 +1,7 @@
 """The seven encoder-decoder networks built from nested dual structures.
 
-Variants (down-sampling / up-sampling / branch payload):
-    PU    max-pool / max-unpool            pooling indices
-    PDc   max-pool / deconvolution         skip copy, concatenated
-    ScIn  strided conv / interpolation     skip copy, concatenated
-    DDc   DWT low-pass / deconvolution     skip copy, concatenated
-    DIn   DWT low-pass / interpolation     skip copy, concatenated
-    DI    DWT / IDWT                       high-frequency subbands
-    DIDn  DWT / IDWT                       high-frequency subbands, denoised
+They share one U-Net skeleton; `_STRUCTURES` gives each its down-sampler,
+up-sampler and branch payload (Table I).
 
 Each level runs two conv-BN-ReLU blocks before down-sampling (encoder) and
 after up-sampling (decoder); a two-block bottom sits at 1/2^levels
@@ -18,6 +12,7 @@ that folds BN into the conv in eval mode.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,9 +23,19 @@ from .nn.autograd import Tensor, as_tensor
 from .nn import functional as F
 from .nn.layers import Conv3, ConvBNReLU, Deconv2, Layer, SConv2
 
-DUAL_STRUCTURES = ("PU", "PDc", "ScIn", "DDc", "DIn", "DI", "DIDn")
-WAVELET_STRUCTURES = ("DDc", "DIn", "DI", "DIDn")
-CONCAT_STRUCTURES = ("PDc", "ScIn", "DDc", "DIn")
+
+@dataclass(frozen=True)
+class _Structure:
+    """One network of Table I.  `down(network, level, h)` returns the coarser
+    h and the branch payload; `up(network, level, h, payload)` returns the
+    finer h entering the decoder.  Levels count from 0 at full resolution."""
+
+    down: Callable
+    up: Callable
+    skip: bool  # the payload is a skip copy, concatenated into the decoder's input
+    wavelet: bool  # the resamplers read the network's wavelet bank
+    down_layer: type[Layer] | None = None  # learned down-sampler, built per level as `down{i}`
+    up_layer: type[Layer] | None = None  # learned up-sampler, built per level as `up{i}`
 
 
 def _encode(value) -> str:
@@ -73,13 +78,25 @@ class NetworkSpec:
         if self.dual_structure not in DUAL_STRUCTURES:
             raise ValueError(
                 f"dual_structure must be one of {DUAL_STRUCTURES}, got {self.dual_structure!r}")
-        wavelet_based = self.dual_structure in WAVELET_STRUCTURES
-        if wavelet_based and self.wavelet is None:
+        structure = _STRUCTURES[self.dual_structure]
+        if structure.wavelet and self.wavelet is None:
             raise ValueError(f"{self.dual_structure} requires a wavelet")
-        if not wavelet_based and self.wavelet is not None:
+        if not structure.wavelet and self.wavelet is not None:
             raise ValueError(f"{self.dual_structure} takes no wavelet")
         if len(self.encoder_channels) != self.levels or len(self.decoder_channels) != self.levels:
             raise ValueError("channel schedules must list one pair per level")
+        for i in range(1, self.levels):
+            if self.encoder_channels[i][0] != self.encoder_channels[i - 1][1]:
+                raise ValueError(
+                    f"level {i + 1}: encoder input channels {self.encoder_channels[i][0]} "
+                    f"must equal level {i}'s output channels {self.encoder_channels[i - 1][1]}")
+        if not structure.skip:
+            for i, (below, (_, enc_out)) in enumerate(
+                    zip(_reverse_channels(self), self.encoder_channels)):
+                if below != enc_out:
+                    raise ValueError(
+                        f"level {i + 1}: reverse-process channels {below} must equal "
+                        f"forward-process channels {enc_out} for {self.dual_structure}")
         if not 0 <= self.shrink_threshold < np.inf:
             raise ValueError(
                 f"shrink_threshold must be finite and >= 0, got {self.shrink_threshold}")
@@ -122,6 +139,13 @@ def paper_spec(dual_structure: str, wavelet: str | None = None) -> NetworkSpec:
     return NetworkSpec(dual_structure=dual_structure, wavelet=wavelet)
 
 
+def _reverse_channels(spec: NetworkSpec) -> list[int]:
+    """Channels entering each level's up-sampler, full resolution first: the
+    decoder output of the level below, or the bottom's at the deepest."""
+    L = spec.levels
+    return [spec.decoder_channels[L - 2 - i][1] for i in range(L - 1)] + [spec.bottom_channels[1]]
+
+
 class Network:
     """Built network: immutable wiring plus mutable parameter store."""
 
@@ -130,63 +154,35 @@ class Network:
         self.dtype = np.dtype(dtype)
         self.bank: FilterBank | None = (
             builtin_bank(spec.wavelet) if spec.wavelet is not None else None)
+        self._structure = structure = _STRUCTURES[spec.dual_structure]
         rng = np.random.default_rng(seed)
-        kind = spec.dual_structure
         L = spec.levels
-
         enc_out = [pair[1] for pair in spec.encoder_channels]
-        dec_out_of_level = lambda lvl: spec.decoder_channels[L - lvl]  # lvl is 1-based
-        self._below = [
-            spec.bottom_channels[1] if i == L - 1 else dec_out_of_level(i + 2)[1]
-            for i in range(L)
-        ]
-        if kind in ("PU", "DI", "DIDn"):
-            for i in range(L):
-                if self._below[i] != enc_out[i]:
-                    raise ValueError(
-                        f"level {i + 1}: reverse-process channels {self._below[i]} must "
-                        f"equal forward-process channels {enc_out[i]} for {kind}")
+        below = _reverse_channels(spec)
 
         self._modules: dict[str, Layer] = {}
-
-        def add(path: str, layer: Layer) -> Layer:
-            self._modules[path] = layer
-            return layer
-
-        self.enc = []
         for i, (c_in, c_mid) in enumerate(spec.encoder_channels):
-            b1 = add(f"enc{i + 1}.block1", ConvBNReLU(c_in, c_mid, rng, dtype))
-            b2 = add(f"enc{i + 1}.block2", ConvBNReLU(c_mid, c_mid, rng, dtype))
-            self.enc.append((b1, b2))
-
-        self.down = []
-        for i in range(L):
-            if kind == "ScIn":
-                self.down.append(add(f"down{i + 1}", SConv2(enc_out[i], enc_out[i], rng, dtype)))
-            else:
-                self.down.append(None)
+            self._modules[f"enc{i + 1}.block1"] = ConvBNReLU(c_in, c_mid, rng, dtype)
+            self._modules[f"enc{i + 1}.block2"] = ConvBNReLU(c_mid, c_mid, rng, dtype)
+        if structure.down_layer is not None:
+            for i, c in enumerate(enc_out):
+                self._modules[f"down{i + 1}"] = structure.down_layer(c, c, rng, dtype)
 
         cb_in, cb_out = spec.bottom_channels
-        self.bottom1 = add("bottom.block1", ConvBNReLU(enc_out[-1], cb_in, rng, dtype))
-        self.bottom2 = add("bottom.block2", ConvBNReLU(cb_in, cb_out, rng, dtype))
+        self._modules["bottom.block1"] = ConvBNReLU(enc_out[-1], cb_in, rng, dtype)
+        self._modules["bottom.block2"] = ConvBNReLU(cb_in, cb_out, rng, dtype)
 
-        self.up = []
+        if structure.up_layer is not None:
+            for i, c in enumerate(below):
+                self._modules[f"up{i + 1}"] = structure.up_layer(c, c, rng, dtype)
         for i in range(L):
-            if kind in ("PDc", "DDc"):
-                self.up.append(add(f"up{i + 1}", Deconv2(self._below[i], self._below[i], rng, dtype)))
-            else:
-                self.up.append(None)
+            out1, out2 = spec.decoder_channels[L - 1 - i]
+            skip = enc_out[i] if structure.skip else 0
+            self._modules[f"dec{i + 1}.block1"] = ConvBNReLU(below[i] + skip, out1, rng, dtype)
+            self._modules[f"dec{i + 1}.block2"] = ConvBNReLU(out1, out2, rng, dtype)
 
-        self.dec = []
-        for i in range(L):
-            out1, out2 = dec_out_of_level(i + 1)
-            skip = enc_out[i] if kind in CONCAT_STRUCTURES else 0
-            b1 = add(f"dec{i + 1}.block1", ConvBNReLU(self._below[i] + skip, out1, rng, dtype))
-            b2 = add(f"dec{i + 1}.block2", ConvBNReLU(out1, out2, rng, dtype))
-            self.dec.append((b1, b2))
-
-        self.head = add("head", Conv3(spec.decoder_channels[-1][1], spec.classes,
-                                      kernel=1, rng=rng, dtype=dtype))
+        self.head = self._modules["head"] = Conv3(spec.decoder_channels[-1][1], spec.classes,
+                                                  kernel=1, rng=rng, dtype=dtype)
         # zero-initialized logit head: initial predictions are exactly the bias
         self.head.weight.data[...] = 0.0
 
@@ -244,48 +240,69 @@ class Network:
                 raise IndivisibleExtentError(
                     f"spatial extents {x.data.shape[2:]} must be divisible by {divisor}")
 
-        kind = self.spec.dual_structure
-        branches = []
+        payloads = []
         h = x
         for i in range(self.spec.levels):
-            b1, b2 = self.enc[i]
-            h = b2.forward(b1.forward(h, training), training)
-            if kind == "PU":
-                h, idx = F.maxpool2_with_indices(h)
-                branches.append(idx)
-            elif kind == "PDc":
-                branches.append(h)
-                h, _ = F.maxpool2_with_indices(h)
-            elif kind == "ScIn":
-                branches.append(h)
-                h = self.down[i].forward(h)
-            elif kind in ("DDc", "DIn"):
-                branches.append(h)
-                h = F.dwt_low_layer(h, self.bank)
-            else:  # DI, DIDn
-                h, highs = F.dwt_layer(h, self.bank)
-                if kind == "DIDn":
-                    highs = F.hard_shrink_layer(highs, self.spec.shrink_threshold)
-                branches.append(highs)
-
-        h = self.bottom2.forward(self.bottom1.forward(h, training), training)
-
+            h, payload = self._structure.down(self, i, self._blocks(f"enc{i + 1}", h, training))
+            payloads.append(payload)
+        h = self._blocks("bottom", h, training)
         for i in reversed(range(self.spec.levels)):
-            if kind == "PU":
-                h = F.maxunpool2(h, branches[i])
-            elif kind in ("PDc", "DDc"):
-                h = F.concat_channels(self.up[i].forward(h), branches[i])
-            elif kind in ("ScIn", "DIn"):
-                h = F.concat_channels(F.interpolate2(h), branches[i])
-            else:  # DI, DIDn
-                h = F.idwt_layer(h, branches[i], self.bank)
-            b1, b2 = self.dec[i]
-            h = b2.forward(b1.forward(h, training), training)
-
+            h = self._blocks(f"dec{i + 1}", self._structure.up(self, i, h, payloads[i]), training)
         return self.head.forward(h)
+
+    def _blocks(self, name: str, h, training: bool) -> Tensor:
+        for block in ("block1", "block2"):
+            h = self._modules[f"{name}.{block}"].forward(h, training)
+        return h
 
     def __call__(self, x, training: bool = False) -> Tensor:
         return self.forward(x, training)
+
+    # -- resamplers: the `down` and `up` entries of `_STRUCTURES` ----------
+    def _pool_indices(self, i, h):
+        return F.maxpool2_with_indices(h)
+
+    def _pool_skip(self, i, h):
+        return F.maxpool2_with_indices(h)[0], h
+
+    def _sconv_skip(self, i, h):
+        return self._modules[f"down{i + 1}"].forward(h), h
+
+    def _dwt_low_skip(self, i, h):
+        return F.dwt_low_layer(h, self.bank), h
+
+    def _dwt(self, i, h):
+        return F.dwt_layer(h, self.bank)
+
+    def _dwt_shrunk(self, i, h):
+        h, highs = F.dwt_layer(h, self.bank)
+        return h, F.hard_shrink_layer(highs, self.spec.shrink_threshold)
+
+    def _unpool(self, i, h, indices):
+        return F.maxunpool2(h, indices)
+
+    def _deconv_concat(self, i, h, skip):
+        return F.concat_channels(self._modules[f"up{i + 1}"].forward(h), skip)
+
+    def _interpolate_concat(self, i, h, skip):
+        return F.concat_channels(F.interpolate2(h), skip)
+
+    def _idwt(self, i, h, highs):
+        return F.idwt_layer(h, highs, self.bank)
+
+
+_STRUCTURES = {
+    # kind: (down-sampler, up-sampler, skip, wavelet[, down_layer, up_layer])
+    "PU": _Structure(Network._pool_indices, Network._unpool, False, False),
+    "PDc": _Structure(Network._pool_skip, Network._deconv_concat, True, False, None, Deconv2),
+    "ScIn": _Structure(Network._sconv_skip, Network._interpolate_concat, True, False, SConv2),
+    "DDc": _Structure(Network._dwt_low_skip, Network._deconv_concat, True, True, None, Deconv2),
+    "DIn": _Structure(Network._dwt_low_skip, Network._interpolate_concat, True, True),
+    "DI": _Structure(Network._dwt, Network._idwt, False, True),
+    "DIDn": _Structure(Network._dwt_shrunk, Network._idwt, False, True),
+}
+DUAL_STRUCTURES = tuple(_STRUCTURES)
+WAVELET_STRUCTURES = tuple(kind for kind, s in _STRUCTURES.items() if s.wavelet)
 
 
 def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
@@ -312,21 +329,7 @@ def describe(spec: NetworkSpec) -> list[LayerInfo]:
     rows = []
     for path, module in net._modules.items():
         count = sum(t.data.size for _, t in module.named_parameters())
-        if isinstance(module, ConvBNReLU):
-            co, ci, k = module.conv.weight.data.shape[:3]
-            detail = f"conv {ci}->{co}, {k}x{k}x{k} kernel + BN + ReLU"
-        elif isinstance(module, Conv3):
-            co, ci, k = module.weight.data.shape[:3]
-            detail = f"conv {ci}->{co}, {k}x{k}x{k} kernel"
-        elif isinstance(module, SConv2):
-            co, ci = module.weight.data.shape[:2]
-            detail = f"strided conv {ci}->{co}, 2x2x2 kernel, stride 2"
-        elif isinstance(module, Deconv2):
-            ci, co = module.weight.data.shape[:2]
-            detail = f"deconv {ci}->{co}, 2x2x2 kernel, stride 2"
-        else:
-            detail = type(module).__name__
-        rows.append(LayerInfo(path, detail, count))
+        rows.append(LayerInfo(path, module.describe(), count))
     return rows
 
 

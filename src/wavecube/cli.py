@@ -19,7 +19,6 @@ from . import __version__
 from .arch import (
     DUAL_STRUCTURES,
     NetworkSpec,
-    WAVELET_STRUCTURES,
     build,
     count_parameters,
     format_description,
@@ -72,13 +71,10 @@ def _provenance(cmd: str, args: argparse.Namespace) -> None:
 
 
 def _network_spec(args) -> NetworkSpec:
-    wavelet = getattr(args, "wavelet", None)
-    if args.arch in WAVELET_STRUCTURES:
-        if wavelet is None:
-            raise UsageError(f"--wavelet is required for arch {args.arch}")
-    else:
-        wavelet = None
-    return NetworkSpec(dual_structure=args.arch, wavelet=wavelet)
+    try:
+        return NetworkSpec(dual_structure=args.arch, wavelet=args.wavelet)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # -- subcommand implementations ---------------------------------------------

@@ -43,6 +43,10 @@ class Conv3(Layer):
     def forward(self, x):
         return F.conv3(x, self.weight, self.bias)
 
+    def describe(self) -> str:
+        co, ci, k = self.weight.data.shape[:3]
+        return f"conv {ci}->{co}, {k}x{k}x{k} kernel"
+
 
 class SConv2(Layer):
     """2x2x2 stride-2 down-sampling convolution: `F.conv3` at stride 2 without
@@ -60,6 +64,10 @@ class SConv2(Layer):
     def forward(self, x):
         return F.sconv2(x, self.weight, self.bias)
 
+    def describe(self) -> str:
+        co, ci = self.weight.data.shape[:2]
+        return f"strided conv {ci}->{co}, 2x2x2 kernel, stride 2"
+
 
 class Deconv2(Layer):
     """2x2x2 stride-2 transposed convolution (exact doubling): the transpose
@@ -76,6 +84,10 @@ class Deconv2(Layer):
 
     def forward(self, x):
         return F.deconv3(x, self.weight, self.bias)
+
+    def describe(self) -> str:
+        ci, co = self.weight.data.shape[:2]
+        return f"deconv {ci}->{co}, 2x2x2 kernel, stride 2"
 
 
 class BatchNorm3(Layer):
@@ -104,3 +116,6 @@ class ConvBNReLU(Layer):
         conv, bn = self.conv, self.bn
         return F.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
                               bn.running_var, training)
+
+    def describe(self) -> str:
+        return f"{self.conv.describe()} + BN + ReLU"

@@ -33,6 +33,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.base_lr <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs, base_lr and batch_size must be positive")
+        for name in ("base_lr", "momentum", "weight_decay", "poly_power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if len(self.class_weights) != 2:
             raise ValueError("class_weights must have length 2")
         if not all(0.0 <= w < math.inf for w in self.class_weights) or not any(self.class_weights):

@@ -1,8 +1,12 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from wavecube.arch import (
     DUAL_STRUCTURES,
+    Network,
     NetworkSpec,
     build,
     count_parameters,
@@ -39,6 +43,25 @@ def test_spec_rejects_negative_shrink_threshold():
 def test_spec_rejects_non_finite_shrink_threshold(threshold):
     with pytest.raises(ValueError, match="shrink_threshold"):
         NetworkSpec("DIDn", "haar", shrink_threshold=threshold)
+
+
+def test_spec_rejects_encoder_pairs_that_do_not_chain():
+    # level 2's first conv would expect 5 channels where level 1 gives 4
+    with pytest.raises(ValueError, match="level 2: encoder input channels 5"):
+        NetworkSpec("PU", encoder_channels=((1, 4), (5, 8), (8, 16), (16, 32)))
+    with pytest.raises(ValueError, match="level 2: encoder input channels 5"):
+        count_parameters(NetworkSpec("PU", encoder_channels=((1, 4), (5, 8), (8, 16), (16, 32))))
+
+
+@pytest.mark.parametrize("kind, wavelet", [("PU", None), ("DI", "haar"), ("DIDn", "haar")])
+def test_spec_rejects_reverse_channels_a_payload_cannot_match(kind, wavelet):
+    # pooling indices and high subbands carry the forward-process channel
+    # count, so the decoder must bring exactly that many back to each level
+    with pytest.raises(ValueError, match="level 2: reverse-process channels 12 must equal .* 8"):
+        NetworkSpec(kind, wavelet, decoder_channels=((32, 16), (16, 12), (8, 4), (4, 4)))
+    # a concatenated skip copy takes any count
+    assert count_parameters(NetworkSpec(
+        "PDc", decoder_channels=((32, 16), (16, 12), (8, 4), (4, 4)))) > 0
 
 
 def test_config_text_roundtrip():
@@ -110,6 +133,25 @@ def test_describe_rows():
     assert "total" in text
 
 
+@pytest.mark.parametrize("kind", DUAL_STRUCTURES)
+def test_describe_rows_every_structure(kind):
+    spec = paper_spec(kind)
+    rows = {r.path: r for r in describe(spec)}
+    assert sum(r.count for r in rows.values()) == count_parameters(spec)
+    levels = ("1", "2", "3", "4")
+    assert all(f"enc{i}.block2" in rows and f"dec{i}.block1" in rows for i in levels)
+    assert all((f"down{i}" in rows) == (kind == "ScIn") for i in levels)
+    assert all((f"up{i}" in rows) == (kind in ("PDc", "DDc")) for i in levels)
+    if kind == "ScIn":
+        assert rows["down1"].detail == "strided conv 4->4, 2x2x2 kernel, stride 2"
+        assert rows["down1"].count == 4 * 4 * 8 + 4
+    if kind in ("PDc", "DDc"):
+        assert rows["up1"].detail == "deconv 4->4, 2x2x2 kernel, stride 2"
+        assert rows["up4"].detail == "deconv 32->32, 2x2x2 kernel, stride 2"
+    assert rows["dec1.block1"].detail.startswith(
+        "conv 8->4," if kind in ("PDc", "ScIn", "DDc", "DIn") else "conv 4->4,")
+
+
 def test_zero_parameters_give_bias_logits():
     spec = paper_spec("DI", "haar")
     net = build(spec, seed=0)
@@ -163,12 +205,12 @@ def test_didn_differs_from_di_at_default_threshold():
 def test_channel_wiring_highs_match_decoder():
     # DI/DIDn: stored high-frequency channels equal decoder mainstream
     # channels entering IDWT at every level (32/16/8/4), checked at build
-    net = build(paper_spec("DIDn"))
-    assert net._below == [4, 8, 16, 32]
-    bad = NetworkSpec(dual_structure="DI", wavelet="haar",
-                      decoder_channels=((32, 12), (16, 8), (8, 4), (4, 4)))
+    state = build(paper_spec("DIDn")).state_dict()
+    below = [state[f"dec{i}.block1.conv.weight"].shape[1] for i in range(1, 5)]
+    assert below == [4, 8, 16, 32]
     with pytest.raises(ValueError):
-        build(bad)
+        build(NetworkSpec(dual_structure="DI", wavelet="haar",
+                          decoder_channels=((32, 12), (16, 8), (8, 4), (4, 4))))
 
 
 def test_state_dict_roundtrip_through_checkpoint(tmp_path):
@@ -202,7 +244,7 @@ def test_load_state_dict_rejects_scalar_buffer():
     state["enc1.block1.bn.running_mean"] = np.float32(3.0)
     with pytest.raises(ValueError, match="running_mean"):
         net.load_state_dict(state)
-    np.testing.assert_array_equal(net.enc[0][0].bn.running_mean, 0.0)
+    np.testing.assert_array_equal(dict(net.named_buffers())["enc1.block1.bn.running_mean"], 0.0)
 
 
 def test_conv_bn_relu_unit_records_once():
@@ -219,6 +261,10 @@ def test_conv_bn_relu_unit_records_once():
     ("PU", None, (1, 1, 16, 32, 32), 28),
     ("ScIn", None, (1, 1, 16, 32, 32), 32),
     ("DIn", "haar", (1, 1, 16, 32, 32), 32),
+    ("PDc", None, (1, 1, 16, 32, 32), 32),
+    ("DDc", "haar", (1, 1, 16, 32, 32), 32),
+    ("DI", "haar", (1, 1, 16, 32, 32), 28),
+    ("DIDn", "haar", (1, 1, 16, 32, 32), 32),
 ])
 def test_tape_records_per_training_step(kind, wavelet, shape, records):
     # 18 conv-BN-ReLU units record once each; the rest is resampling, the
@@ -230,6 +276,16 @@ def test_tape_records_per_training_step(kind, wavelet, shape, records):
     with GradientTape() as tape:
         weighted_cross_entropy(net(x, training=True), labels, (1.0, 1.0))
     assert len(tape) == records
+
+
+def test_network_wiring_names_no_structure():
+    # every per-structure decision is read from the structure table, and
+    # every layer describes itself
+    for code in (Network.__init__, Network.forward, describe):
+        source = inspect.getsource(code)
+        named = set(re.findall(r"[\"'](\w+)[\"']", source)) & set(DUAL_STRUCTURES)
+        assert not named, f"{code.__qualname__} names {sorted(named)}"
+        assert "isinstance" not in source, code.__qualname__
 
 
 def test_eval_forward_reads_bn_buffers_loaded_after_an_earlier_forward():

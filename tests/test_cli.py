@@ -91,6 +91,27 @@ def test_describe_wavelet_required_for_wavelet_arch(capsys):
     assert main(["describe", "--arch", "DIDn"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-params", "--arch", "PU", "--wavelet", "bogus"],
+    ["describe", "--arch", "ScIn", "--wavelet", "haar"],
+    ["train", "--arch", "PU", "--wavelet", "db2", "--data", "none", "--out", "none"],
+])
+def test_wavelet_for_a_structure_that_takes_none_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "takes no wavelet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    "dual_structure=PU\nencoder_channels=1,4;5,8;8,16;16,32\n",
+    "dual_structure=DI\nwavelet=haar\ndecoder_channels=32,16;16,12;8,4;4,4\n",
+])
+def test_describe_schedule_that_cannot_run_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "net.cfg"
+    path.write_text(config)
+    assert main(["describe", "--config", str(path)]) == 2
+    assert "data error: level 2:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [
     "wavelet=haar\nlevels=4\n",
     "dual_structure=PU\nencoder_channel=1,4;4,8;8,16;16,32\n",
@@ -257,6 +278,20 @@ def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "run"), "--epochs", "1",
                  "--batch-size", "2", "--val-fraction", "0"]) == 3
     assert "numeric failure: non-finite loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--base-lr", "nan"), ("--momentum", "nan"),
+                                         ("--weight-decay", "inf"), ("--weight-decay", "-1")])
+def test_train_hyperparameter_it_cannot_train_with_exits_2(tmp_path, capsys, flag, value):
+    data_dir = tmp_path / "cubes"
+    assert main(["gen-phantom", "--out", str(data_dir), "--count", "2",
+                 "--shape", "16x16x16", "--seed", "3"]) == 0
+    assert main(["train", "--arch", "PU", "--data", str(data_dir),
+                 "--out", str(tmp_path / "run"), "--epochs", "1", "--val-fraction", "0",
+                 flag, value]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"data error: {name} must be")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_val_fraction_outside_unit_interval_exits_2(tmp_path, capsys):

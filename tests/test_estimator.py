@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from wavecube.arch import DUAL_STRUCTURES
 from wavecube.data import PhantomConfig, generate_phantom_dataset
 from wavecube.estimator import WaveUNetSegmenter
 from wavecube.train import TrainConfig
@@ -32,6 +33,13 @@ def test_params_are_spec_keys_plus_train_config_fields():
     assert set(WaveUNetSegmenter().get_params()) == names
     with pytest.raises(TypeError):
         WaveUNetSegmenter(bogus=1)
+
+
+@pytest.mark.parametrize("arch", DUAL_STRUCTURES)
+def test_default_wavelet_is_dropped_for_structures_that_take_none(arch):
+    # set_params(arch="PU") on a default estimator leaves wavelet="haar"
+    spec = WaveUNetSegmenter().set_params(arch=arch)._spec()
+    assert spec.wavelet == (None if arch in ("PU", "PDc", "ScIn") else "haar")
 
 
 def test_clone_compatible_param_cycle():

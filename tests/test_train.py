@@ -210,6 +210,18 @@ def test_train_config_rejects_class_weights_it_cannot_train_with(weights):
         assert TrainConfig(class_weights=ok).class_weights == ok
 
 
+@pytest.mark.parametrize("name, value", [
+    ("base_lr", math.nan), ("base_lr", math.inf), ("momentum", math.nan),
+    ("poly_power", math.nan), ("weight_decay", math.inf), ("weight_decay", -math.inf),
+    ("weight_decay", -1e-4),
+])
+def test_train_config_rejects_hyperparameters_it_cannot_train_with(name, value):
+    # base_lr=nan used to train to all-NaN parameters without an error
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+    assert TrainConfig(momentum=0.0, weight_decay=0.0, poly_power=0.0).weight_decay == 0.0
+
+
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
         fit(paper_spec("PU"), [], TrainConfig())
