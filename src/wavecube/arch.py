@@ -97,6 +97,8 @@ class NetworkSpec:
                     raise ValueError(
                         f"level {i + 1}: reverse-process channels {below} must equal "
                         f"forward-process channels {enc_out} for {self.dual_structure}")
+        if self.classes < 2:
+            raise ValueError(f"classes must be at least 2, got {self.classes}")
         if not 0 <= self.shrink_threshold < np.inf:
             raise ValueError(
                 f"shrink_threshold must be finite and >= 0, got {self.shrink_threshold}")

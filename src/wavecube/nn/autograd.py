@@ -3,9 +3,10 @@
 Operations executed inside a `with GradientTape():` block, in the thread
 that opened it, append one record per op (a Wengert list).
 `backward(tape, loss)` walks the list once, in reverse, calling each op's
-adjoint closure.  Creation order is already a topological order, so no
-graph search is needed.  Outside a tape, ops run in inference mode and
-record nothing.
+adjoint closure and dropping each record, with what its closure saved,
+once that adjoint has run.  Creation order is already a topological
+order, so no graph search is needed.  Outside a tape, ops run in
+inference mode and record nothing.
 
 Every op is declared through `op(outputs, inputs, vjp)`: the op computes
 its output arrays, and its `vjp` returns one cotangent per input.  The
@@ -156,9 +157,19 @@ def op(outputs, inputs, vjp):
 def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     """Run the reverse pass of `tape` seeded at scalar `loss`.
 
-    Leaves gradients on the `.grad` of every tensor that wanted one; any
-    tensor in `parameters` that the loss never touched gets an explicit
-    zero gradient.  A tape can only be consumed once.
+    Leaves gradients on the `.grad` of every `requires_grad` tensor (leaves,
+    and any recorded tensor so marked); any tensor in `parameters` that the
+    loss never touched gets an explicit zero gradient.
+
+    The pass consumes the tape as it walks it: each record is popped, the
+    `.grad` of its outputs that are not `requires_grad` is cleared before
+    its adjoint runs, and the record is dropped once the adjoint returns.
+    So the arrays an op saved for its backward, and each intermediate
+    gradient, are freed as soon as nothing later in the pass needs them:
+    the pass's peak stays near what the forward held, not the whole tape
+    plus every gradient.  Afterwards the tape is empty (`len(tape) == 0`)
+    and the `.grad` of an intermediate tensor, the loss included, is None.
+    A tape can only be consumed once.
     """
     if tape.consumed:
         raise TapeConsumedError("backward already ran on this tape")
@@ -169,13 +180,19 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     tape.consumed = True
 
     loss._accumulate(np.ones_like(loss.data))
-    for outputs, adjoint in reversed(tape._records):
+    records = tape._records
+    while records:
+        outputs, adjoint = records.pop()
         if all(o.grad is None for o in outputs):
             continue
         grads = tuple(
             o.grad if o.grad is not None else np.zeros_like(o.data) for o in outputs
         )
+        for o in outputs:
+            if not o.requires_grad:
+                o.grad = None
         adjoint(grads)
+        del outputs, adjoint, grads
 
     for p in parameters:
         if p.requires_grad and p.grad is None:

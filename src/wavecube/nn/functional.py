@@ -57,18 +57,18 @@ _PHASES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 class _FlatGrid:
-    """A (B, C, z, y, x) batch zero-padded by `pad` >= 0 voxels a side, with
-    each sample's padded grid flattened into one row.
+    """The geometry of a (B, C, z, y, x) batch zero-padded by `pad` >= 0
+    voxels a side, with each sample's padded grid flattened into one row.
 
     A kernel offset (i, j, l) is then the flat shift i*plane + j*row + l.
-    `flat` carries (k-1)*(row+1) trailing zeros so that every shift of the
-    whole grid stays in bounds; output positions past the valid extents in y
-    and x read padding and are cropped afterwards.
+    The flat rows carry (k-1)*(row+1) trailing zeros so that every shift of
+    the whole grid stays in bounds; output positions past the valid extents
+    in y and x read padding and are cropped afterwards.
     """
 
     def __init__(self, a: np.ndarray, pad: int, k: int):
-        b, c = a.shape[:2]
-        self.k = k
+        c = a.shape[1]
+        self.k, self.pad = k, pad
         self.sp = tuple(e + 2 * pad for e in a.shape[2:])
         self.row = self.sp[2]
         self.plane = self.sp[1] * self.sp[2]
@@ -78,25 +78,27 @@ class _FlatGrid:
         self.out_len = self.out_sp[0] * self.plane
         rows = c * k * k
         self.block = max(1, min(self.out_len, max(1024, _BLOCK_BYTES // (rows * a.itemsize))))
+
+    def blocks(self, a: np.ndarray):
+        """Yield (sample, start, stop, cols) for each sample of `a` and each
+        block of at most `block` flat output positions.  `cols` is the
+        block's k*k (z, y) shifts, (C*k*k, stop - start + k - 1) with rows
+        ordered (c, i, j); its slice `cols[:, l:l + stop - start]` is the
+        input under kernel offsets (i, j, l).  One buffer is reused for every
+        block and filled by one copy; with k = 1 `cols` is the flat slice
+        itself.  The padded copy of `a` lives only while the blocks are
+        walked."""
+        k, pad, n = self.k, self.pad, self.out_len
+        b, c = a.shape[:2]
         size = self.sp[0] * self.plane
         if k == 1 and pad == 0:
-            self.flat = a.reshape(b, c, size)  # a view: no padding, no tail
-            return
-        self.flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
-        grid = self.flat[:, :, :size].reshape((b, c) + self.sp)
-        grid[:, :, pad:self.sp[0] - pad, pad:self.sp[1] - pad, pad:self.sp[2] - pad] = a
-
-    def blocks(self):
-        """Yield (sample, start, stop, cols) for each sample and each block of
-        at most `block` flat output positions.  `cols` is the block's k*k
-        (z, y) shifts, (C*k*k, stop - start + k - 1) with rows ordered
-        (c, i, j); its slice `cols[:, l:l + stop - start]` is the input under
-        kernel offsets (i, j, l).  One buffer is reused for every block and
-        filled by one copy; with k = 1 `cols` is the flat slice itself."""
-        k, n = self.k, self.out_len
-        c = self.flat.shape[1]
-        buf = np.empty((c, k, k, self.block + k - 1), dtype=self.flat.dtype) if k > 1 else None
-        for bi, src in enumerate(self.flat):
+            flat = a.reshape(b, c, size)  # a view: no padding, no tail
+        else:
+            flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
+            grid = flat[:, :, :size].reshape((b, c) + self.sp)
+            grid[:, :, pad:self.sp[0] - pad, pad:self.sp[1] - pad, pad:self.sp[2] - pad] = a
+        buf = np.empty((c, k, k, self.block + k - 1), dtype=a.dtype) if k > 1 else None
+        for bi, src in enumerate(flat):
             if k > 1:
                 # shifts[:, i, j, p] = src[:, i*plane + j*row + p]: every (z, y)
                 # shift of the whole sample as one read-only view.  Its last
@@ -160,7 +162,7 @@ def _correlate(a: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.nd
     w_l = [np.ascontiguousarray(w[..., l]).reshape(co, -1) for l in range(k)]
     out = np.empty((a.shape[0], co, grid.out_len), dtype=np.result_type(a, w))
     tmp = np.empty((co, grid.block), dtype=out.dtype)
-    for bi, start, stop, cols in grid.blocks():
+    for bi, start, stop, cols in grid.blocks(a):
         m = stop - start
         dst = out[bi, :, start:stop]
         np.matmul(w_l[0], cols[:, :m], out=dst)
@@ -177,26 +179,35 @@ def _correlate_adjoint(a: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray,
     (Co, Ci)-transposed kernel; `gw` gathers the padded input again, block
     by block, so nothing beyond `a` has to be kept from the forward.  Stride
     2 merges the phase gradients back; `a` may be None unless `want_w`."""
-    co, ci, k = w.shape[:3]
+    k = w.shape[2]
     if stride == 2:
         ga, gw = _correlate_adjoint(_split(a, pad) if want_w else None, _split(w, 0), 0, g,
                                     want_a, want_w)
         return (_merge(ga, pad) if want_a else None,
                 np.ascontiguousarray(_merge(gw, 0)[..., :k, :k, :k]) if want_w else None)
-    ga = gw = None
-    if want_w:
-        grid = _FlatGrid(a, pad, k)
-        gflat = grid.uncrop(g)
-        gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, grid.flat))
-        for bi, start, stop, cols in grid.blocks():
-            g_t = gflat[bi, :, start:stop].T
-            for l in range(k):
-                gw[l] += cols[:, l:l + stop - start] @ g_t
-        gw = np.ascontiguousarray(gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0))
+    # the weight gradient first: its padded input and cotangent are freed
+    # before the input gradient builds its own
+    gw = _correlate_weight_grad(a, pad, k, g) if want_w else None
+    ga = None
     if want_a:
         w_adj = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
         ga = _correlate(g, w_adj, k - 1 - pad)
     return ga, gw
+
+
+def _correlate_weight_grad(a: np.ndarray, pad: int, k: int, g: np.ndarray) -> np.ndarray:
+    """The (Co, Ci, k, k, k) gradient of the stride-1 `_correlate(a, w, pad)`
+    for the cotangent `g`: per gathered block of `a`, k gemms with the
+    row-padded cotangent."""
+    co, ci = g.shape[1], a.shape[1]
+    grid = _FlatGrid(a, pad, k)
+    gflat = grid.uncrop(g)
+    gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, a))
+    for bi, start, stop, cols in grid.blocks(a):
+        g_t = gflat[bi, :, start:stop].T
+        for l in range(k):
+            gw[l] += cols[:, l:l + stop - start] @ g_t
+    return np.ascontiguousarray(gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0))
 
 
 def _conv3_vjp(x: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray, needs,

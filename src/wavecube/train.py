@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +39,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.poly_power < 0:
+            raise ValueError(f"poly_power must be >= 0, got {self.poly_power}")
         if len(self.class_weights) != 2:
             raise ValueError("class_weights must have length 2")
         if not all(0.0 <= w < math.inf for w in self.class_weights) or not any(self.class_weights):
@@ -252,9 +257,11 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
                     f"{bg:.4f}\t{fg:.4f}\t{mean:.4f}\n")
                 metrics_fh.flush()
             if log_fn is not None:
+                # ru_maxrss is in KiB on Linux: the process's peak so far
+                peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                 log_fn(f"epoch {epoch}/{cfg.epochs} loss={stats.mean_loss:.4f} "
                        f"val_iou bg={bg:.4f} fg={fg:.4f} mean={mean:.4f} "
-                       f"[{time.monotonic() - t0:.1f}s]")
+                       f"peak_rss_mb={peak_rss_mb:.1f} [{time.monotonic() - t0:.1f}s]")
 
             if out_dir is not None:
                 ckpt = out_dir / f"epoch_{epoch:03d}.ckpt"

@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def test_spec_rejects_negative_shrink_threshold():
 def test_spec_rejects_non_finite_shrink_threshold(threshold):
     with pytest.raises(ValueError, match="shrink_threshold"):
         NetworkSpec("DIDn", "haar", shrink_threshold=threshold)
+
+
+@pytest.mark.parametrize("classes", [1, 0, -1])
+def test_spec_rejects_fewer_than_two_classes(classes):
+    # classes=1 used to build a one-logit head that the two-weight loss
+    # cannot train, and classes=0 failed only in the first forward
+    with pytest.raises(ValueError, match=f"classes must be at least 2, got {classes}"):
+        NetworkSpec("PU", classes=classes)
+    assert count_parameters(NetworkSpec("PU", classes=2)) > 0
 
 
 def test_spec_rejects_encoder_pairs_that_do_not_chain():
@@ -276,6 +286,54 @@ def test_tape_records_per_training_step(kind, wavelet, shape, records):
     with GradientTape() as tape:
         weighted_cross_entropy(net(x, training=True), labels, (1.0, 1.0))
     assert len(tape) == records
+
+
+def _step_memory(kind, wavelet, shape):
+    """tracemalloc bytes of one training step after a warm-up, relative to
+    the start of the step: (held after the forward, peak of the backward,
+    held after the backward with the tape still referenced, bytes of the
+    logits and parameter gradients that legitimately stay)."""
+    net = build(paper_spec(kind, wavelet), seed=3)
+    local = np.random.default_rng(4)
+    x = local.standard_normal(shape).astype(np.float32)
+    labels = local.integers(0, 2, (shape[0],) + shape[2:])
+
+    def forward():
+        net.zero_grad()
+        with GradientTape() as tape:
+            logits = net(x, training=True)
+            loss = weighted_cross_entropy(logits, labels, (1.0, 5.0))
+        return tape, logits, loss
+
+    tape, _, loss = forward()
+    backward(tape, loss, net.parameters())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, logits, loss = forward()
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(tape, loss, net.parameters())
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = logits.data.nbytes + sum(p.grad.nbytes for p in net.parameters())
+    return held, peak - base, after - base, kept
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+@pytest.mark.parametrize("kind,wavelet,shape", [
+    ("PU", None, (1, 1, 16, 32, 32)),
+    ("DIDn", "haar", (2, 1, 16, 32, 32)),
+])
+def test_training_step_backward_frees_the_tape_as_it_walks(kind, wavelet, shape):
+    # the backward releases each record's saved arrays and each non-leaf
+    # gradient once it is consumed, so its peak stays near what the forward
+    # holds (the whole tape would more than double it), and after it only
+    # the logits and the parameter gradients remain
+    held, peak, after, kept = _step_memory(kind, wavelet, shape)
+    assert peak <= 1.75 * held, (peak, held)
+    assert after <= kept + (1 << 18), (after, kept)
 
 
 def test_network_wiring_names_no_structure():

@@ -123,6 +123,14 @@ def test_describe_bad_config_exits_2(tmp_path, capsys, config):
     assert "data error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("classes", ["1", "0"])
+def test_describe_config_with_fewer_than_two_classes_exits_2(tmp_path, capsys, classes):
+    path = tmp_path / "net.cfg"
+    path.write_text(f"dual_structure=PU\nclasses={classes}\n")
+    assert main(["describe", "--config", str(path)]) == 2
+    assert f"data error: classes must be at least 2, got {classes}" in capsys.readouterr().err
+
+
 def test_gen_phantom_deterministic(tmp_path, capsys):
     out1 = tmp_path / "d1"
     out2 = tmp_path / "d2"
@@ -281,7 +289,8 @@ def test_train_nonfinite_loss_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--base-lr", "nan"), ("--momentum", "nan"),
-                                         ("--weight-decay", "inf"), ("--weight-decay", "-1")])
+                                         ("--weight-decay", "inf"), ("--weight-decay", "-1"),
+                                         ("--momentum", "1.5"), ("--momentum", "-0.5")])
 def test_train_hyperparameter_it_cannot_train_with_exits_2(tmp_path, capsys, flag, value):
     data_dir = tmp_path / "cubes"
     assert main(["gen-phantom", "--out", str(data_dir), "--count", "2",

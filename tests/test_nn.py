@@ -1,6 +1,7 @@
 import inspect
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -590,6 +591,32 @@ def test_backward_twice_raises():
     with GradientTape() as tape:
         loss = ones_dot(x)
     backward(tape, loss)
+    with pytest.raises(TapeConsumedError):
+        backward(tape, loss)
+
+
+def test_backward_consumes_the_tape_and_frees_what_it_no_longer_needs():
+    x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)), requires_grad=True, dtype=np.float64)
+    saved = []
+
+    def doubled(t):
+        # an op whose vjp keeps an array of its own, as a conv keeps its input
+        c = np.full(t.shape, 2.0)
+        saved.append(weakref.ref(c))
+        return op(t.data * c, (t,), lambda grads, needs: (grads[0] * c,))
+
+    with GradientTape() as tape:
+        hidden = doubled(x)
+        kept = doubled(hidden)
+        kept.requires_grad = True
+        loss = ones_dot(doubled(kept))
+    assert len(tape) == 4 and all(ref() is not None for ref in saved)
+    backward(tape, loss)
+    assert len(tape) == 0
+    assert all(ref() is None for ref in saved)
+    assert hidden.grad is None and loss.grad is None
+    np.testing.assert_array_equal(kept.grad, np.full(kept.shape, 2.0))
+    np.testing.assert_array_equal(x.grad, np.full(x.shape, 8.0))
     with pytest.raises(TapeConsumedError):
         backward(tape, loss)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,17 @@ def test_fit_writes_checkpoints_and_metrics(tmp_path):
     assert all(state[k].tobytes() == got[k].tobytes() for k in state)
 
 
+def test_fit_log_line_reports_peak_rss():
+    lines = []
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=0, val_fraction=0.0)
+    fit(paper_spec("PU"), _clean_phantoms(2), cfg, log_fn=lines.append)
+    assert len(lines) == 2
+    for line in lines:
+        peak = re.search(r" peak_rss_mb=(\d+\.\d) ", line)
+        assert peak is not None, line
+        assert float(peak.group(1)) > 0
+
+
 def test_fit_nonfinite_loss_raises_before_backward():
     ds = _clean_phantoms(2)
     ds[0][0][3, 5, 7] = np.nan
@@ -213,10 +225,13 @@ def test_train_config_rejects_class_weights_it_cannot_train_with(weights):
 @pytest.mark.parametrize("name, value", [
     ("base_lr", math.nan), ("base_lr", math.inf), ("momentum", math.nan),
     ("poly_power", math.nan), ("weight_decay", math.inf), ("weight_decay", -math.inf),
-    ("weight_decay", -1e-4),
+    ("weight_decay", -1e-4), ("momentum", 1.5), ("momentum", 1.0), ("momentum", -0.5),
+    ("poly_power", -2.0),
 ])
 def test_train_config_rejects_hyperparameters_it_cannot_train_with(name, value):
-    # base_lr=nan used to train to all-NaN parameters without an error
+    # base_lr=nan used to train to all-NaN parameters without an error;
+    # momentum >= 1 lets the SGD velocity grow without bound, and a negative
+    # poly_power raises the learning rate as training runs
     with pytest.raises(ValueError, match=name):
         TrainConfig(**{name: value})
     assert TrainConfig(momentum=0.0, weight_decay=0.0, poly_power=0.0).weight_decay == 0.0
