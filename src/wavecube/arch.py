@@ -83,6 +83,8 @@ class NetworkSpec:
             raise ValueError(f"{self.dual_structure} requires a wavelet")
         if not structure.wavelet and self.wavelet is not None:
             raise ValueError(f"{self.dual_structure} takes no wavelet")
+        if self.levels < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
         if len(self.encoder_channels) != self.levels or len(self.decoder_channels) != self.levels:
             raise ValueError("channel schedules must list one pair per level")
         for i in range(1, self.levels):
@@ -211,7 +213,8 @@ class Network:
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Replace every parameter and buffer; the state must name each one
-        with its exact shape.  Nothing is loaded unless all of it fits."""
+        with its exact shape and finite entries.  Nothing is loaded unless
+        all of it fits."""
         own = dict(self.named_parameters())
         bufs = dict(self.named_buffers())
         unknown = sorted(set(state) - own.keys() - bufs.keys())
@@ -224,6 +227,8 @@ class Network:
             have = own[path].data.shape if path in own else bufs[path].shape
             if np.shape(arr) != have:
                 raise ValueError(f"shape mismatch for '{path}': {have} vs {np.shape(arr)}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite entries in '{path}'")
         for path, arr in state.items():
             if path in own:
                 own[path].data = arr.astype(own[path].data.dtype, copy=True)

@@ -46,7 +46,8 @@ class TapeConsumedError(WavecubeError):
 
 class TapeMisuseError(WavecubeError):
     """A gradient tape was closed in a thread other than the one that opened
-    it, or before a tape opened inside it."""
+    it, or before a tape opened inside it, or backward() was given a loss
+    that another tape recorded."""
 
 
 class NonFiniteGradientError(WavecubeError):

@@ -169,7 +169,7 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     the pass's peak stays near what the forward held, not the whole tape
     plus every gradient.  Afterwards the tape is empty (`len(tape) == 0`)
     and the `.grad` of an intermediate tensor, the loss included, is None.
-    A tape can only be consumed once.
+    A tape can only be consumed once, and only with a loss it recorded.
     """
     if tape.consumed:
         raise TapeConsumedError("backward already ran on this tape")
@@ -177,6 +177,9 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     if not loss._recorded:
         raise ValueError("loss was not recorded on a tape")
+    # the loss is normally the last record, so this walk stops at once
+    if not any(o is loss for outputs, _ in reversed(tape._records) for o in outputs):
+        raise TapeMisuseError("loss was recorded on another tape than the one given")
     tape.consumed = True
 
     loss._accumulate(np.ones_like(loss.data))

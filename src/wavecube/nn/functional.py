@@ -172,33 +172,26 @@ def _correlate(a: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.nd
     return grid.crop(out)
 
 
-def _correlate_adjoint(a: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray,
-                       want_a: bool, want_w: bool, stride: int = 1):
-    """Gradients (ga, gw) of `_correlate(a, w, pad, stride)` for the cotangent
-    `g`, None where not wanted.  `ga` is `_correlate` of `g` with the flipped,
-    (Co, Ci)-transposed kernel; `gw` gathers the padded input again, block
-    by block, so nothing beyond `a` has to be kept from the forward.  Stride
-    2 merges the phase gradients back; `a` may be None unless `want_w`."""
-    k = w.shape[2]
+def _correlate_t(g: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
+    """The transpose of `_correlate(., w, pad, stride)` applied to `g`: the
+    input gradient for the cotangent `g`, which is `_correlate` of `g` with
+    the flipped, (Co, Ci)-transposed kernel.  Stride 2 runs on the kernel's
+    phases and merges the phase gradients back."""
     if stride == 2:
-        ga, gw = _correlate_adjoint(_split(a, pad) if want_w else None, _split(w, 0), 0, g,
-                                    want_a, want_w)
-        return (_merge(ga, pad) if want_a else None,
-                np.ascontiguousarray(_merge(gw, 0)[..., :k, :k, :k]) if want_w else None)
-    # the weight gradient first: its padded input and cotangent are freed
-    # before the input gradient builds its own
-    gw = _correlate_weight_grad(a, pad, k, g) if want_w else None
-    ga = None
-    if want_a:
-        w_adj = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        ga = _correlate(g, w_adj, k - 1 - pad)
-    return ga, gw
+        return _merge(_correlate_t(g, _split(w, 0), 0), pad)
+    k = w.shape[2]
+    return _correlate(g, w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), k - 1 - pad)
 
 
-def _correlate_weight_grad(a: np.ndarray, pad: int, k: int, g: np.ndarray) -> np.ndarray:
-    """The (Co, Ci, k, k, k) gradient of the stride-1 `_correlate(a, w, pad)`
+def _correlate_w(a: np.ndarray, g: np.ndarray, pad: int, k: int, stride: int = 1) -> np.ndarray:
+    """The (Co, Ci, k, k, k) kernel gradient of `_correlate(a, w, pad, stride)`
     for the cotangent `g`: per gathered block of `a`, k gemms with the
-    row-padded cotangent."""
+    row-padded cotangent, so nothing beyond `a` has to be kept from the
+    forward.  Stride 2 runs on `a`'s phases and merges the phase kernel's
+    gradient back."""
+    if stride == 2:
+        gw = _correlate_w(_split(a, pad), g, 0, (k + 1) // 2)
+        return np.ascontiguousarray(_merge(gw, 0)[..., :k, :k, :k])
     co, ci = g.shape[1], a.shape[1]
     grid = _FlatGrid(a, pad, k)
     gflat = grid.uncrop(g)
@@ -213,9 +206,12 @@ def _correlate_weight_grad(a: np.ndarray, pad: int, k: int, g: np.ndarray) -> np
 def _conv3_vjp(x: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray, needs,
                stride: int = 1):
     """Gradients (gx, gw, gb) of `_correlate(x, w, pad, stride) + bias` for
-    the cotangent `g`, None where `needs` is false."""
+    the cotangent `g`, None where `needs` is false.  The kernel gradient
+    runs first, so its padded input is freed before the input gradient
+    builds its own."""
     gb = g.sum(axis=_AXES) if needs[2] else None
-    gx, gw = _correlate_adjoint(x, w, pad, g, needs[0], needs[1], stride)
+    gw = _correlate_w(x, g, pad, w.shape[2], stride) if needs[1] else None
+    gx = _correlate_t(g, w, pad, stride) if needs[0] else None
     return gx, gw, gb
 
 
@@ -232,7 +228,7 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     0..k-1.
 
     Stride 2 runs on the input's lazy-wavelet phases; the adjoint,
-    `_correlate_adjoint`, keeps nothing beyond `x` and `weight`."""
+    `_conv3_vjp`, keeps nothing beyond `x` and `weight`."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[1], "conv3")
     k = weight.data.shape[2]
@@ -263,20 +259,20 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     The exact transpose of `sconv2` on the same (Ci, Co, 2, 2, 2) weight,
     which `sconv2` reads as mapping Co channels to Ci: the forward is that
-    op's input gradient, a channel mix to 8*Co phases merged back; the input
-    gradient is its forward; the weight gradient is `_correlate_adjoint`'s
-    with the cotangent as input and `x` as cotangent."""
+    op's input gradient, `_correlate_t`; the input gradient is its forward;
+    the kernel gradient is `_correlate_w` with the cotangent as input and
+    `x` as cotangent."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[0], "deconv3")
     w = weight.data
-    out = _correlate_adjoint(None, w, 0, x.data, True, False, 2)[0]
+    out = _correlate_t(x.data, w, 0, 2)
     if bias is not None:
         out += _col(bias.data)
 
     def vjp(grads, needs):
         g = grads[0]
         return (_correlate(g, w, 0, 2) if needs[0] else None,
-                _correlate_adjoint(g, w, 0, x.data, False, True, 2)[1] if needs[1] else None,
+                _correlate_w(g, x.data, 0, 2, 2) if needs[1] else None,
                 g.sum(axis=_AXES) if needs[2] else None)
 
     return op(out, (x, weight, bias), vjp)
@@ -291,18 +287,25 @@ _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 
 
-def _batch_stats(a: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray):
-    """Per-channel batch mean and variance of `a`; folds them (the variance
-    unbiased) into the running buffers in place, with weight `_BN_MOMENTUM`."""
-    mu = a.mean(axis=_AXES)
-    var = a.var(axis=_AXES)
-    count = a.size // a.shape[1]
-    unbias = count / max(count - 1, 1)
-    running_mean *= 1.0 - _BN_MOMENTUM
-    running_mean += _BN_MOMENTUM * mu
-    running_var *= 1.0 - _BN_MOMENTUM
-    running_var += _BN_MOMENTUM * var * unbias
-    return mu, var
+def _bn_stats(a: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+              training: bool):
+    """BN's per-channel (mean, inv_std) for the input `a`.  Training takes
+    the batch mean and variance of `a` and folds them (the variance
+    unbiased) into the running buffers in place, with weight `_BN_MOMENTUM`;
+    eval takes the buffers, cast to `a`'s dtype."""
+    if training:
+        mu = a.mean(axis=_AXES)
+        var = a.var(axis=_AXES)
+        count = a.size // a.shape[1]
+        unbias = count / max(count - 1, 1)
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * var * unbias
+    else:
+        mu = running_mean.astype(a.dtype, copy=False)
+        var = running_var.astype(a.dtype, copy=False)
+    return mu, 1.0 / np.sqrt(var + _BN_EPS)
 
 
 def _normalize(a: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
@@ -313,15 +316,13 @@ def _normalize(a: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray
 
 
 def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
-                       inv_std: np.ndarray, training: bool, want_x: bool):
+                       inv_std: np.ndarray, training: bool):
     """BN's backward for the cotangent `g` of gamma*xhat + beta: the
-    gradients (gx, g_gamma, g_beta), gx None unless `want_x`.  In training
-    the gradient also flows through the batch statistics:
+    gradients (gx, g_gamma, g_beta).  In training the gradient also flows
+    through the batch statistics:
     gx = gamma*inv_std * (g - (g_beta + xhat*g_gamma) / count)."""
     g_beta = g.sum(axis=_AXES)
     g_gamma = (g * xhat).sum(axis=_AXES)
-    if not want_x:
-        return None, g_gamma, g_beta
     scale = _col(gamma * inv_std)
     if not training:
         return g * scale, g_gamma, g_beta
@@ -342,16 +343,11 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """
     x = as_tensor(x)
     _check_5d(x)
-    if training:
-        mu, var = _batch_stats(x.data, running_mean, running_var)
-    else:
-        mu = running_mean.astype(x.data.dtype, copy=False)
-        var = running_var.astype(x.data.dtype, copy=False)
-    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training)
     xhat = _normalize(x.data, mu, inv_std)
     return op(_col(gamma.data) * xhat + _col(beta.data), (x, gamma, beta),
               lambda grads, needs: _batchnorm_adjoint(grads[0], xhat, gamma.data, inv_std,
-                                                      training, needs[0]))
+                                                      training))
 
 
 def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
@@ -381,15 +377,13 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
 
     if training:
         z = conv_out()
-        mu, var = _batch_stats(z, running_mean, running_var)
-        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+        mu, inv_std = _bn_stats(z, running_mean, running_var, True)
         out = _normalize(z, mu, inv_std)
         out *= _col(gamma.data)
         out += _col(beta.data)
     else:
         z = None  # recomputed by the adjoint
-        mu = running_mean.astype(x.data.dtype, copy=False)
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype, copy=False) + _BN_EPS)
+        mu, inv_std = _bn_stats(x.data, running_mean, running_var, False)
         scale = gamma.data * inv_std
         out = _correlate(x.data, weight.data * scale[:, None, None, None, None], pad)
         out += _col((bias.data - mu) * scale + beta.data)
@@ -401,9 +395,7 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
         # runs
         gz, g_gamma, g_beta = _batchnorm_adjoint(
             grads[0] * (out > 0), _normalize(conv_out() if z is None else z, mu, inv_std),
-            gamma.data, inv_std, training, any(needs[:3]))
-        if gz is None:
-            return None, None, None, g_gamma, g_beta
+            gamma.data, inv_std, training)
         return (*_conv3_vjp(x.data, weight.data, pad, gz, needs), g_gamma, g_beta)
 
     return op(out, (x, weight, bias, gamma, beta), vjp)

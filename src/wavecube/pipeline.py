@@ -143,6 +143,19 @@ def _one_blas_thread():
                 set_(_cap["saved"])
 
 
+def _at_origin(exc: Exception, origin) -> Exception:
+    """`exc` re-made as its own type with the cube origin leading its
+    message; or, for a type not built from a message alone (numpy's
+    `_ArrayMemoryError(shape, dtype)`), `exc` itself, given the origin as a
+    note where Python has notes (3.11+)."""
+    try:
+        return type(exc)(f"cube at origin {origin}: {exc}")
+    except TypeError:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"cube at origin {origin}")
+        return exc
+
+
 def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
                    workers: int = 1, retain_logits: bool = False) -> SegmentationResult:
     """Per-cube argmax segmentation of an arbitrary-extent volume.
@@ -164,7 +177,10 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
         try:
             logits = network.forward(cube[None, None], training=False).data[0]
         except Exception as exc:
-            raise type(exc)(f"cube at origin {origin}: {exc}") from exc
+            located = _at_origin(exc, origin)
+            if located is exc:
+                raise
+            raise located from exc
         return origin, first_max(logits).astype(np.uint8), logits if retain_logits else None
 
     with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:

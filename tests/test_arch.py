@@ -55,6 +55,13 @@ def test_spec_rejects_fewer_than_two_classes(classes):
     assert count_parameters(NetworkSpec("PU", classes=2)) > 0
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_spec_rejects_fewer_than_one_level(levels):
+    # levels=0 with empty schedules used to construct and fail in build
+    with pytest.raises(ValueError, match=f"levels must be at least 1, got {levels}"):
+        NetworkSpec("PU", levels=levels, encoder_channels=(), decoder_channels=())
+
+
 def test_spec_rejects_encoder_pairs_that_do_not_chain():
     # level 2's first conv would expect 5 channels where level 1 gives 4
     with pytest.raises(ValueError, match="level 2: encoder input channels 5"):
@@ -255,6 +262,18 @@ def test_load_state_dict_rejects_scalar_buffer():
     with pytest.raises(ValueError, match="running_mean"):
         net.load_state_dict(state)
     np.testing.assert_array_equal(dict(net.named_buffers())["enc1.block1.bn.running_mean"], 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_state_dict_rejects_non_finite_entries(bad):
+    net = build(paper_spec("PU"), seed=5)
+    state = {k: v.copy() for k, v in net.state_dict().items()}
+    state["head.bias"] += 1
+    state["enc1.block1.conv.weight"][0, 0, 1, 1, 1] = bad
+    before = net.head.bias.data.copy()
+    with pytest.raises(ValueError, match="non-finite entries in 'enc1.block1.conv.weight'"):
+        net.load_state_dict(state)
+    np.testing.assert_array_equal(net.head.bias.data, before)
 
 
 def test_conv_bn_relu_unit_records_once():

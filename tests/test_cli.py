@@ -239,6 +239,22 @@ def test_segment_non_finite_volume_exits_2(tmp_path, capsys):
     assert not (tmp_path / "seg.nvol").exists()
 
 
+def test_segment_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    # such weights used to segment the whole volume as background, exit 0
+    ckpt = tmp_path / "pu.ckpt"
+    spec = paper_spec("PU")
+    state = build(spec).state_dict()
+    state["enc1.block1.conv.weight"][0, 0, 1, 1, 1] = np.nan
+    save_state(ckpt, state, {**spec.to_config(), "epoch": "1"})
+    vol = tmp_path / "big.nvol"
+    write_volume(vol, np.zeros((16, 16, 16), dtype=np.float32))
+    assert main(["segment", "--ckpt", str(ckpt), "--in", str(vol),
+                 "--out", str(tmp_path / "seg.nvol"), "--cube-shape", "16x16x16"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["data error: non-finite entries in 'enc1.block1.conv.weight'"]
+    assert not (tmp_path / "seg.nvol").exists()
+
+
 def test_segment_unknown_checkpoint_dtype_code_exits_2(tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt"
     save_state(ckpt, {"a": np.ones(3, dtype=np.float32)}, paper_spec("PU").to_config())

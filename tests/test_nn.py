@@ -595,6 +595,19 @@ def test_backward_twice_raises():
         backward(tape, loss)
 
 
+def test_backward_on_a_tape_that_did_not_record_the_loss_raises():
+    w = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
+    with GradientTape() as tape_a:
+        loss = ones_dot(w)
+    with GradientTape() as tape_b:
+        ones_dot(w)
+    with pytest.raises(TapeMisuseError, match="another tape"):
+        backward(tape_b, loss, parameters=[w])
+    assert w.grad is None and not tape_b.consumed and len(tape_b) == 1
+    backward(tape_a, loss, parameters=[w])
+    np.testing.assert_array_equal(w.grad, np.ones_like(w.data))
+
+
 def test_backward_consumes_the_tape_and_frees_what_it_no_longer_needs():
     x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)), requires_grad=True, dtype=np.float64)
     saved = []

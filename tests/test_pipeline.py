@@ -266,6 +266,45 @@ def test_segment_without_openblas_reports_unknown(monkeypatch):
     assert result.provenance["blas_threads"] == "unknown"
 
 
+class _ShapeDtypeError(MemoryError):
+    """Built from (shape, dtype), not from a message, as numpy's
+    out-of-memory `_ArrayMemoryError` is."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(shape, dtype)
+        self.shape, self.dtype = shape, dtype
+
+
+class _FailingNetwork:
+    """Raises `exc` on a cube that holds a non-zero voxel."""
+
+    spec = SimpleNamespace(dual_structure="failing", wavelet=None)
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def forward(self, x, training):
+        if x.any():
+            raise self.exc
+        return SimpleNamespace(data=np.zeros((1, 2) + x.shape[2:], dtype=np.float32))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_segment_names_the_failing_cube_and_keeps_its_error_type(workers):
+    vol = np.zeros((32, 16, 16), dtype=np.float32)
+    vol[20, 3, 3] = 1.0
+    with pytest.raises(ValueError, match=r"^cube at origin \(16, 0, 0\): broken cube$"):
+        segment_volume(vol, _FailingNetwork(ValueError("broken cube")), (16, 16, 16),
+                       workers=workers)
+    # a type that takes no message alone used to turn into a TypeError
+    exc = _ShapeDtypeError((1 << 40,), np.dtype(np.float32))
+    with pytest.raises(_ShapeDtypeError) as err:
+        segment_volume(vol, _FailingNetwork(exc), (16, 16, 16), workers=workers)
+    assert err.value is exc and err.value.shape == (1 << 40,)
+    if hasattr(exc, "add_note"):
+        assert "cube at origin (16, 0, 0)" in exc.__notes__
+
+
 # -- IoU ----------------------------------------------------------------------------
 
 def test_iou_identical_volumes():

@@ -1,0 +1,83 @@
+"""Print sha256 digests of what eight network configurations compute, as one
+JSON object.
+
+Each configuration runs on one seeded 2x1x16x32x32 batch: two train steps
+and two eval steps under a gradient tape, each followed by a momentum-SGD
+update, then one tape-less eval forward.  A step's digest covers its loss,
+every parameter gradient, every BN running buffer and the logits; the last
+digest covers the tape-less logits.  Two source trees compute bitwise the
+same losses, gradients, buffers and logits when their outputs are equal:
+
+    python tools/digest_networks.py > change.json
+    python tools/digest_networks.py --src ../parent/src > parent.json
+    diff parent.json change.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+CONFIGS = (("PU", None), ("PDc", None), ("ScIn", None), ("DDc", "haar"), ("DI", "haar"),
+           ("DIDn", "haar"), ("DIn", "db2"), ("DIDn", "db4"))
+SHAPE = (2, 1, 16, 32, 32)
+LR = 0.01
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for name, arr in items:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def digest_config(kind: str, wavelet: str | None) -> dict[str, str]:
+    from wavecube.arch import build, paper_spec
+    from wavecube.nn import GradientTape, backward
+    from wavecube.train import TrainConfig, TrainState, sgd_step, weighted_cross_entropy
+
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(SHAPE).astype(np.float32)
+    y = (rng.random(SHAPE[:1] + SHAPE[2:]) < 0.2).astype(np.int64)
+    net = build(paper_spec(kind, wavelet), seed=0)
+    params = dict(net.named_parameters())
+    cfg, state = TrainConfig(), TrainState()
+
+    out = {}
+    for step, training in (("train1", True), ("train2", True), ("eval1", False),
+                           ("eval2", False)):
+        net.zero_grad()
+        with GradientTape() as tape:
+            logits = net.forward(x, training=training)
+            loss = weighted_cross_entropy(logits, y, cfg.class_weights)
+        backward(tape, loss, parameters=params.values())
+        out[step] = _digest([("loss", loss.data), ("logits", logits.data)]
+                            + [(f"grad:{p}", t.grad) for p, t in params.items()]
+                            + [(f"buffer:{p}", b) for p, b in net.named_buffers()])
+        sgd_step({p: t.data for p, t in params.items()}, {p: t.grad for p, t in params.items()},
+                 state, LR, cfg)
+    out["forward"] = _digest([("logits", net.forward(x, training=False).data)])
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the wavecube package (default: this tree's src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    digests = {f"{kind}({wavelet})" if wavelet else kind: digest_config(kind, wavelet)
+               for kind, wavelet in CONFIGS}
+    print(json.dumps(digests, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
