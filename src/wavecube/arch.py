@@ -87,6 +87,12 @@ class NetworkSpec:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if len(self.encoder_channels) != self.levels or len(self.decoder_channels) != self.levels:
             raise ValueError("channel schedules must list one pair per level")
+        for name, pairs in (("encoder_channels", self.encoder_channels),
+                            ("bottom_channels", (self.bottom_channels,)),
+                            ("decoder_channels", self.decoder_channels)):
+            if any(np.shape(pair) != (2,) or min(pair) < 1 for pair in pairs):
+                raise ValueError(f"{name} must hold (in, out) pairs of channel counts >= 1, "
+                                 f"got {getattr(self, name)}")
         for i in range(1, self.levels):
             if self.encoder_channels[i][0] != self.encoder_channels[i - 1][1]:
                 raise ValueError(

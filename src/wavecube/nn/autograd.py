@@ -8,10 +8,11 @@ once that adjoint has run.  Creation order is already a topological
 order, so no graph search is needed.  Outside a tape, ops run in
 inference mode and record nothing.
 
-Every op is declared through `op(outputs, inputs, vjp)`: the op computes
-its output arrays, and its `vjp` returns one cotangent per input.  The
-tape alone decides which inputs need a gradient, adds the cotangents and
-checks their shapes.
+Every op is declared through `op(output, inputs, vjp)`: the op computes
+one output array, and its `vjp` maps that output's cotangent to one
+cotangent per input.  The tape alone decides which inputs need a
+gradient, adds the cotangents and checks their shapes.  An op with two
+results (`dwt_layer`) records each as an op of its own.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 class GradientTape:
-    """Recorded operation sequence; each record is (outputs, adjoint_fn)."""
+    """Recorded operation sequence; each record is (output, adjoint_fn)."""
 
     def __init__(self):
-        self._records: list[tuple[tuple[Tensor, ...], callable]] = []
+        self._records: list[tuple[Tensor, callable]] = []
         self.consumed = False
 
     def __enter__(self):
@@ -100,11 +101,6 @@ class GradientTape:
     def __len__(self):
         return len(self._records)
 
-    def _append(self, outputs: tuple[Tensor, ...], adjoint):
-        for o in outputs:
-            o._recorded = True
-        self._records.append((outputs, adjoint))
-
 
 def active_tape() -> GradientTape | None:
     tapes = _TAPE_STACK.tapes
@@ -116,42 +112,41 @@ def wants_grad(t) -> bool:
     return isinstance(t, Tensor) and (t.requires_grad or t._recorded)
 
 
-def record(outputs, adjoint) -> None:
-    """Register an op on the active tape (no-op in inference mode).
+def record(output: Tensor, adjoint) -> None:
+    """Register an op's output on the active tape (no-op in inference mode).
 
-    `adjoint(grads)` receives one cotangent per output (zeros for outputs
-    no gradient flowed into) and must accumulate into the op's parents via
-    `Tensor._accumulate`.  `op` builds every such adjoint.
+    `adjoint(g)` receives the output's cotangent, and is not called when no
+    gradient flowed into the output; it must accumulate into the op's
+    parents via `Tensor._accumulate`.  `op` builds every such adjoint.
     """
     tape = active_tape()
     if tape is not None:
-        if not isinstance(outputs, tuple):
-            outputs = (outputs,)
-        tape._append(outputs, adjoint)
+        output._recorded = True
+        tape._records.append((output, adjoint))
 
 
-def op(outputs, inputs, vjp):
-    """Wrap an op's output array, or tuple of arrays, in Tensors and record
-    them on the active tape; returns the Tensors in the form given.
+def op(output, inputs, vjp):
+    """Wrap an op's output array in a Tensor and record it on the active
+    tape; returns the Tensor.
 
-    `vjp(grads, needs)` gets one cotangent per output and, per input in
-    `inputs`, whether that input needs a gradient.  It returns one cotangent
-    per input; the tape adds those that are needed, with a shape check, and
+    `vjp(g, needs)` gets the output's cotangent and, per input in `inputs`,
+    whether that input needs a gradient.  It returns one cotangent per
+    input; the tape adds those that are needed, with a shape check, and
     ignores the rest, which may be None.  `vjp` is not called when no input
     needs a gradient.
     """
-    results = tuple(map(Tensor, outputs)) if isinstance(outputs, tuple) else (Tensor(outputs),)
+    result = Tensor(output)
 
-    def adjoint(grads):
+    def adjoint(g):
         needs = tuple(wants_grad(t) for t in inputs)
         if not any(needs):
             return
-        for t, need, g in zip(inputs, needs, vjp(grads, needs), strict=True):
+        for t, need, gi in zip(inputs, needs, vjp(g, needs), strict=True):
             if need:
-                t._accumulate(g)
+                t._accumulate(gi)
 
-    record(results, adjoint)
-    return results if isinstance(outputs, tuple) else results[0]
+    record(result, adjoint)
+    return result
 
 
 def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
@@ -162,7 +157,7 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     loss never touched gets an explicit zero gradient.
 
     The pass consumes the tape as it walks it: each record is popped, the
-    `.grad` of its outputs that are not `requires_grad` is cleared before
+    `.grad` of its output is cleared, unless it is `requires_grad`, before
     its adjoint runs, and the record is dropped once the adjoint returns.
     So the arrays an op saved for its backward, and each intermediate
     gradient, are freed as soon as nothing later in the pass needs them:
@@ -178,24 +173,21 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     if not loss._recorded:
         raise ValueError("loss was not recorded on a tape")
     # the loss is normally the last record, so this walk stops at once
-    if not any(o is loss for outputs, _ in reversed(tape._records) for o in outputs):
+    if not any(o is loss for o, _ in reversed(tape._records)):
         raise TapeMisuseError("loss was recorded on another tape than the one given")
     tape.consumed = True
 
     loss._accumulate(np.ones_like(loss.data))
     records = tape._records
     while records:
-        outputs, adjoint = records.pop()
-        if all(o.grad is None for o in outputs):
+        output, adjoint = records.pop()
+        g = output.grad
+        if g is None:
             continue
-        grads = tuple(
-            o.grad if o.grad is not None else np.zeros_like(o.data) for o in outputs
-        )
-        for o in outputs:
-            if not o.requires_grad:
-                o.grad = None
-        adjoint(grads)
-        del outputs, adjoint, grads
+        if not output.requires_grad:
+            output.grad = None
+        adjoint(g)
+        del output, adjoint, g
 
     for p in parameters:
         if p.requires_grad and p.grad is None:

@@ -1,9 +1,9 @@
 """Differentiable ops over 5D activations (batch, channels, z, y, x).
 
 Every op computes its forward result eagerly and declares itself once,
-through `autograd.op(outputs, inputs, vjp)`: its vjp returns one cotangent
-per input, None where `needs` says none is wanted, and the tape adds them
-and checks their shapes.
+through `autograd.op(output, inputs, vjp)`: its vjp maps the output's
+cotangent to one cotangent per input, None where `needs` says none is
+wanted, and the tape adds them and checks their shapes.
 Vjps are exact transposes of the forward linear maps (a convolution's
 input gradient correlates the cotangent with the flipped kernel, the DWT
 layer's backward is synthesis with the decomposition filters, etc.).
@@ -245,8 +245,7 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     if bias is not None:
         out += _col(bias.data)
     return op(out, (x, weight, bias),
-              lambda grads, needs: _conv3_vjp(x.data, weight.data, padding, grads[0], needs,
-                                              stride))
+              lambda g, needs: _conv3_vjp(x.data, weight.data, padding, g, needs, stride))
 
 
 def sconv2(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -269,8 +268,7 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out += _col(bias.data)
 
-    def vjp(grads, needs):
-        g = grads[0]
+    def vjp(g, needs):
         return (_correlate(g, w, 0, 2) if needs[0] else None,
                 _correlate_w(g, x.data, 0, 2, 2) if needs[1] else None,
                 g.sum(axis=_AXES) if needs[2] else None)
@@ -346,8 +344,7 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     mu, inv_std = _bn_stats(x.data, running_mean, running_var, training)
     xhat = _normalize(x.data, mu, inv_std)
     return op(_col(gamma.data) * xhat + _col(beta.data), (x, gamma, beta),
-              lambda grads, needs: _batchnorm_adjoint(grads[0], xhat, gamma.data, inv_std,
-                                                      training))
+              lambda g, needs: _batchnorm_adjoint(g, xhat, gamma.data, inv_std, training))
 
 
 def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
@@ -389,12 +386,12 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
         out += _col((bias.data - mu) * scale + beta.data)
     np.maximum(out, np.zeros((), dtype=out.dtype), out=out)
 
-    def vjp(grads, needs):
+    def vjp(g, needs):
         # out > 0 selects the same entries as relu's input > 0, NaN included;
         # the masked cotangent and xhat are freed before the conv's backward
         # runs
         gz, g_gamma, g_beta = _batchnorm_adjoint(
-            grads[0] * (out > 0), _normalize(conv_out() if z is None else z, mu, inv_std),
+            g * (out > 0), _normalize(conv_out() if z is None else z, mu, inv_std),
             gamma.data, inv_std, training)
         return (*_conv3_vjp(x.data, weight.data, pad, gz, needs), g_gamma, g_beta)
 
@@ -406,7 +403,7 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, np.zeros((), dtype=x.data.dtype))
     # out > 0 selects the same entries as x > 0, NaN included
-    return op(out, (x,), lambda grads, needs: (grads[0] * (out > 0),))
+    return op(out, (x,), lambda g, needs: (g * (out > 0),))
 
 
 def concat_channels(a, b) -> Tensor:
@@ -418,7 +415,7 @@ def concat_channels(a, b) -> Tensor:
         raise ShapeMismatchError(f"concat_channels batch/spatial mismatch: {sa} vs {sb}")
     split = sa[1]
     return op(np.concatenate([a.data, b.data], axis=1), (a, b),
-              lambda grads, needs: (grads[0][:, :split], grads[0][:, split:]))
+              lambda g, needs: (g[:, :split], g[:, split:]))
 
 
 def hard_shrink_layer(x, threshold: float) -> Tensor:
@@ -429,7 +426,7 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
     x = as_tensor(x)
     out = hard_shrink_array(x.data, threshold)
     # threshold >= 0, so out != 0 selects exactly |x| > threshold, NaN included
-    return op(out, (x,), lambda grads, needs: (grads[0] * (out != 0),))
+    return op(out, (x,), lambda g, needs: (g * (out != 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +469,7 @@ def maxpool2_with_indices(x) -> tuple[Tensor, np.ndarray]:
     phases = _forward3(x.data, _PHASES)
     indices = first_max(phases)
     result = op(np.take_along_axis(phases, indices[None], axis=0)[0], (x,),
-                lambda grads, needs: (_place(grads[0], indices),))
+                lambda g, needs: (_place(g, indices),))
     return result, indices
 
 
@@ -483,8 +480,8 @@ def maxunpool2(x, indices: np.ndarray) -> Tensor:
     if x.data.shape != indices.shape:
         raise ShapeMismatchError(
             f"maxunpool2 values/indices mismatch: {x.data.shape} vs {indices.shape}")
-    return op(_place(x.data, indices), (x,), lambda grads, needs: (
-        np.take_along_axis(_forward3(grads[0], _PHASES), indices[None], axis=0)[0],))
+    return op(_place(x.data, indices), (x,), lambda g, needs: (
+        np.take_along_axis(_forward3(g, _PHASES), indices[None], axis=0)[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +521,7 @@ def interpolate2(x) -> Tensor:
     for axis in (2, 3, 4):
         out = np.moveaxis(_linear_up_last(np.moveaxis(out, axis, -1)), -1, axis)
 
-    def vjp(grads, needs):
-        g = grads[0]
+    def vjp(g, needs):
         for axis in (4, 3, 2):
             g = np.moveaxis(_linear_up_last_adjoint(np.moveaxis(g, axis, -1)), -1, axis)
         return (g,)
@@ -542,19 +538,18 @@ def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
 
     `low` is the lll subband, (B, C, z, y, x); `highs` stacks the seven
     high-frequency subbands, llh..hhh, subband-major along the batch axis:
-    (7*B, C, z, y, x).  Backward is the exact adjoint: synthesis with the
-    decomposition filters (equal to the inverse for orthogonal banks)."""
+    (7*B, C, z, y, x).  One analysis gives both, recorded as two ops.
+    Backward is the exact adjoint, synthesis with the decomposition filters
+    (equal to the inverse for orthogonal banks): `low`'s with the low-pass
+    filter alone, `highs`' with a zero low band."""
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "dwt_layer")
     s = _forward3(x.data, (bank.lo_dec, bank.hi_dec))
-
-    def vjp(grads, needs):
-        g_low, g_highs = grads
-        return (_inverse3([g_low, *g_highs.reshape((7,) + g_low.shape)],
-                          (bank.lo_dec, bank.hi_dec)),)
-
-    return op((s[0], s[1:].reshape((-1,) + s.shape[2:])), (x,), vjp)
+    low = op(s[0], (x,), lambda g, needs: (_inverse3((g,), (bank.lo_dec,)),))
+    highs = op(s[1:].reshape((-1,) + s.shape[2:]), (x,), lambda g, needs: (_inverse3(
+        [np.zeros_like(s[0]), *g.reshape(s[1:].shape)], (bank.lo_dec, bank.hi_dec)),))
+    return low, highs
 
 
 def dwt_low_layer(x, bank: FilterBank) -> Tensor:
@@ -564,7 +559,7 @@ def dwt_low_layer(x, bank: FilterBank) -> Tensor:
     _check_5d(x)
     _check_even_spatial(x, "dwt_low_layer")
     return op(_forward3(x.data, (bank.lo_dec,))[0], (x,),
-              lambda grads, needs: (_inverse3(grads, (bank.lo_dec,)),))
+              lambda g, needs: (_inverse3((g,), (bank.lo_dec,)),))
 
 
 def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
@@ -580,8 +575,8 @@ def idwt_layer(low, highs, bank: FilterBank) -> Tensor:
     out = _inverse3([low.data, *highs.data.reshape((7,) + low.data.shape)],
                     (bank.lo_rec, bank.hi_rec))
 
-    def vjp(grads, needs):
-        gsub = _forward3(grads[0], (bank.lo_rec, bank.hi_rec))
+    def vjp(g, needs):
+        gsub = _forward3(g, (bank.lo_rec, bank.hi_rec))
         return gsub[0], gsub[1:].reshape(expect)
 
     return op(out, (low, highs), vjp)
@@ -596,4 +591,4 @@ def tensor_dot(x, const) -> Tensor:
     x = as_tensor(x)
     c = np.asarray(const, dtype=x.data.dtype)
     return op(np.asarray((x.data * c).sum(), dtype=x.data.dtype), (x,),
-              lambda grads, needs: (grads[0] * c,))
+              lambda g, needs: (g * c,))

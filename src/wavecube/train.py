@@ -6,6 +6,7 @@ import itertools
 import math
 import resource
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from .errors import NonFiniteGradientError, NonFiniteLossError
 from .nn.autograd import GradientTape, Tensor, as_tensor, backward, op
 from .nn.checkpoint import save_state
 from .nn.functional import first_max
-from .pipeline import iou_counts, iou_from_counts
+from .pipeline import _one_blas_thread, iou_counts, iou_from_counts
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,10 @@ def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
     total_w = w_vox.sum()
     loss_val = -(w_vox * logp_y).sum() / total_w
 
-    def vjp(grads, needs):
+    def vjp(g, needs):
         onehot = np.zeros_like(softmax)
         np.put_along_axis(onehot, labels_e, 1.0, axis=1)
-        g = (softmax - onehot) * (w_vox / total_w)[:, None]
-        return (g * grads[0],)
+        return ((softmax - onehot) * (w_vox / total_w)[:, None] * g,)
 
     return op(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), vjp)
 
@@ -176,7 +176,9 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
     """Train a network on (image, label) cubes.
 
     Deterministic given cfg.seed: the same seed fixes initialization,
-    shuffling and the validation split.  Writes one checkpoint per epoch
+    shuffling and the validation split, and every step runs with numpy's
+    OpenBLAS on one thread (`pipeline._one_blas_thread`), so no result
+    depends on the caller's thread count.  Writes one checkpoint per epoch
     plus a tab-separated metrics log when `out_dir` is given.
     """
     items = [_as_pair(it) for it in dataset]
@@ -205,20 +207,20 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
     max_iter = cfg.epochs * iters_per_epoch
 
     out_dir = Path(out_dir) if out_dir is not None else None
-    metrics_fh = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_fh = open(out_dir / "metrics.log", "w")
-        metrics_fh.write("# epoch\titeration\tlr\tloss\tbg_iou\tfg_iou\tmean_iou\n")
-        metrics_fh.write("# " + " ".join(f"{key}={val}" for key, val in
-                                         {**spec.to_config(), **asdict(cfg)}.items()) + "\n")
-
     weights = np.asarray(cfg.class_weights, dtype=np.float64)
     history: list[EpochStats] = []
     checkpoints: list[str] = []
     t0 = time.monotonic()
 
-    try:
+    with ExitStack() as stack:
+        blas_threads = stack.enter_context(_one_blas_thread())
+        metrics_fh = None
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            metrics_fh = stack.enter_context(open(out_dir / "metrics.log", "w"))
+            metrics_fh.write("# epoch\titeration\tlr\tloss\tbg_iou\tfg_iou\tmean_iou\n")
+            header = {**spec.to_config(), **asdict(cfg), "blas_threads": blas_threads}
+            metrics_fh.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_train)
             losses = []
@@ -268,8 +270,5 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
                 meta = {**spec.to_config(), "epoch": str(epoch), "seed": str(cfg.seed)}
                 save_state(ckpt, network.state_dict(), meta)
                 checkpoints.append(str(ckpt))
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
 
     return FitResult(network, history, checkpoints)

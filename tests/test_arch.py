@@ -70,6 +70,21 @@ def test_spec_rejects_encoder_pairs_that_do_not_chain():
         count_parameters(NetworkSpec("PU", encoder_channels=((1, 4), (5, 8), (8, 16), (16, 32))))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bottom_channels", (32,)),
+    ("bottom_channels", (32, 32, 32)),
+    ("bottom_channels", 32),
+    ("encoder_channels", ((1, 0), (0, 8), (8, 16), (16, 32))),
+    ("decoder_channels", ((32, 16), (16, 8), (8, 0), (0, 4))),
+])
+def test_spec_rejects_channel_schedules_that_cannot_build(field, value):
+    # each used to construct and fail in build, with IndexError, "too many
+    # values to unpack", TypeError or ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"{field} must hold \(in, out\) pairs of channel "
+                                         r"counts >= 1, got"):
+        NetworkSpec("PDc", **{field: value})
+
+
 @pytest.mark.parametrize("kind, wavelet", [("PU", None), ("DI", "haar"), ("DIDn", "haar")])
 def test_spec_rejects_reverse_channels_a_payload_cannot_match(kind, wavelet):
     # pooling indices and high subbands carry the forward-process channel
@@ -286,18 +301,19 @@ def test_conv_bn_relu_unit_records_once():
 
 
 @pytest.mark.parametrize("kind,wavelet,shape,records", [
-    ("DIDn", "haar", (4, 1, 16, 64, 64), 32),
+    ("DIDn", "haar", (4, 1, 16, 64, 64), 36),
     ("PU", None, (1, 1, 16, 32, 32), 28),
     ("ScIn", None, (1, 1, 16, 32, 32), 32),
     ("DIn", "haar", (1, 1, 16, 32, 32), 32),
     ("PDc", None, (1, 1, 16, 32, 32), 32),
     ("DDc", "haar", (1, 1, 16, 32, 32), 32),
-    ("DI", "haar", (1, 1, 16, 32, 32), 28),
-    ("DIDn", "haar", (1, 1, 16, 32, 32), 32),
+    ("DI", "haar", (1, 1, 16, 32, 32), 32),
+    ("DIDn", "haar", (1, 1, 16, 32, 32), 36),
 ])
 def test_tape_records_per_training_step(kind, wavelet, shape, records):
     # 18 conv-BN-ReLU units record once each; the rest is resampling, the
-    # head and the loss
+    # head and the loss, with each `dwt_layer` recording `low` and `highs`
+    # apart
     net = build(paper_spec(kind, wavelet), seed=3)
     local = np.random.default_rng(4)
     x = local.standard_normal(shape).astype(np.float32)
@@ -388,18 +404,19 @@ def _loss_and_grads(kind):
     labels = local.integers(0, 2, (2, 16, 16, 16))
     with GradientTape() as tape:
         loss = weighted_cross_entropy(net(x, training=True), labels, (1.0, 3.0))
-    outputs = [len(out) for out, _ in tape._records]
+    records = len(tape)
     backward(tape, loss, net.parameters())
-    return float(loss.data), {p: t.grad for p, t in net.named_parameters()}, outputs
+    return float(loss.data), {p: t.grad for p, t in net.named_parameters()}, records
 
 
 @pytest.mark.parametrize("kind", ["DDc", "DIn"])
 def test_low_pass_branch_matches_full_dwt_and_keeps_no_highs(kind, monkeypatch):
-    loss, grads, outputs = _loss_and_grads(kind)
-    assert max(outputs) == 1  # no (low, highs) record on the tape
+    loss, grads, records = _loss_and_grads(kind)
     monkeypatch.setattr(F, "dwt_low_layer", lambda h, bank: F.dwt_layer(h, bank)[0])
-    want_loss, want_grads, want_outputs = _loss_and_grads(kind)
-    assert max(want_outputs) == 2
+    want_loss, want_grads, want_records = _loss_and_grads(kind)
+    # the full DWT puts one `highs` record more on the tape at each of the
+    # four levels
+    assert want_records == records + 4
     assert abs(loss - want_loss) <= 1e-12
     for path, g in want_grads.items():
         np.testing.assert_allclose(grads[path], g, rtol=0, atol=1e-12, err_msg=path)

@@ -123,6 +123,20 @@ def test_describe_bad_config_exits_2(tmp_path, capsys, config):
     assert "data error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    "dual_structure=PDc\nbottom_channels=32\n",
+    "dual_structure=PDc\nencoder_channels=1,0;0,8;8,16;16,32\n",
+])
+def test_describe_config_with_a_schedule_that_cannot_build_exits_2(tmp_path, capsys, config):
+    # both used to end in a traceback from build
+    path = tmp_path / "net.cfg"
+    path.write_text(config)
+    assert main(["describe", "--config", str(path)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("data error:")]
+    assert len(errors) == 1 and "pairs of channel counts >= 1" in errors[0]
+
+
 @pytest.mark.parametrize("classes", ["1", "0"])
 def test_describe_config_with_fewer_than_two_classes_exits_2(tmp_path, capsys, classes):
     path = tmp_path / "net.cfg"

@@ -550,6 +550,23 @@ def test_dwt_adjoint_identity(name):
     np.testing.assert_allclose(x.grad, adj, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["haar", "db3"])
+def test_dwt_layer_adjoint_with_both_outputs_on_one_tape(name):
+    # `low` and `highs` are two records; both feed one loss, and x.grad is
+    # the synthesis of both cotangents
+    bank = builtin_bank(name)
+    y = rng.standard_normal((8, 1, 2, 4, 4, 4))
+    x = Tensor(rng.standard_normal((1, 2, 8, 8, 8)), requires_grad=True, dtype=np.float64)
+    with GradientTape() as tape:
+        low, highs = dwt_layer(x, bank)
+        parts = (tensor_dot(low, y[0]), tensor_dot(highs, y[1:].reshape(7, 2, 4, 4, 4)))
+        loss = op(parts[0].data + parts[1].data, parts, lambda g, needs: (g, g))
+    assert len(tape) == 5
+    backward(tape, loss)
+    np.testing.assert_allclose(x.grad, _inverse3(y, (bank.lo_dec, bank.hi_dec)),
+                               rtol=0, atol=1e-12)
+
+
 def test_idwt_adjoint_is_rec_analysis():
     bank = builtin_bank("ch4.4")
     shape = (1, 1, 4, 4, 4)
@@ -616,7 +633,7 @@ def test_backward_consumes_the_tape_and_frees_what_it_no_longer_needs():
         # an op whose vjp keeps an array of its own, as a conv keeps its input
         c = np.full(t.shape, 2.0)
         saved.append(weakref.ref(c))
-        return op(t.data * c, (t,), lambda grads, needs: (grads[0] * c,))
+        return op(t.data * c, (t,), lambda g, needs: (g * c,))
 
     with GradientTape() as tape:
         hidden = doubled(x)
@@ -723,7 +740,7 @@ def test_wrongly_shaped_cotangent_raises_at_the_tape(shape):
     # the first accumulation into `x` is checked, not only later ones
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     with GradientTape() as tape:
-        loss = ones_dot(op(2 * x.data, (x,), lambda grads, needs: (np.ones(shape),)))
+        loss = ones_dot(op(2 * x.data, (x,), lambda g, needs: (np.ones(shape),)))
     with pytest.raises(ShapeMismatchError, match=re.escape(f"{shape}")) as err:
         backward(tape, loss)
     assert "(2, 3)" in str(err.value)
@@ -735,11 +752,11 @@ def test_op_accumulates_needed_cotangents_only():
     frozen = Tensor(np.ones((1, 1, 2, 2, 2)))
     calls = []
 
-    def vjp(grads, needs):
+    def vjp(g, needs):
         calls.append(needs)
-        return grads[0], grads[0]
+        return g, g
 
-    def unreachable(grads, needs):
+    def unreachable(g, needs):
         raise AssertionError("vjp called with no input needing a gradient")
 
     with GradientTape() as tape:

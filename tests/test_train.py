@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from wavecube.arch import paper_spec
+from wavecube import pipeline
+from wavecube.arch import NetworkSpec, paper_spec
 from wavecube.data import PhantomConfig, generate_phantom_dataset
 from wavecube.errors import NonFiniteGradientError, NonFiniteLossError
 from wavecube.estimator import WaveUNetSegmenter
@@ -186,6 +187,45 @@ def test_fit_log_line_reports_peak_rss():
         peak = re.search(r" peak_rss_mb=(\d+\.\d) ", line)
         assert peak is not None, line
         assert float(peak.group(1)) > 0
+
+
+OPENBLAS = pipeline._openblas()
+
+
+@pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
+def test_fit_gives_the_same_bits_at_any_caller_blas_thread_count(tmp_path):
+    # the 1->8 conv's kernel gradient over an 8x32x32 cube spans several
+    # gemm blocks per sample, and OpenBLAS sums those N = 8 products in
+    # another order on two threads than on one
+    get, set_ = OPENBLAS
+    spec = NetworkSpec("PU", levels=1, encoder_channels=((1, 8),), bottom_channels=(8, 8),
+                       decoder_channels=((8, 8),))
+    local = np.random.default_rng(0)
+    items = [(local.standard_normal((8, 32, 32)).astype(np.float32),
+              (local.random((8, 32, 32)) < 0.3).astype(np.int64)) for _ in range(4)]
+    cfg = TrainConfig(epochs=3, batch_size=2, val_fraction=0.0)
+    runs = {}
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            result = fit(spec, items, cfg, out_dir=tmp_path / str(threads))
+            assert get() == threads
+            runs[threads] = ([s.iteration_losses for s in result.history],
+                             result.network.state_dict())
+    finally:
+        set_(before)
+    assert runs[1][0] == runs[2][0]
+    assert all(runs[1][1][k].tobytes() == runs[2][1][k].tobytes() for k in runs[1][1])
+    header = (tmp_path / "2" / "metrics.log").read_text().splitlines()[1].split()
+    assert "blas_threads=1" in header
+
+
+def test_fit_metrics_header_without_openblas_reads_unknown(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0, val_fraction=0.0)
+    fit(paper_spec("PU"), _clean_phantoms(2), cfg, out_dir=tmp_path)
+    assert "blas_threads=unknown" in (tmp_path / "metrics.log").read_text().splitlines()[1]
 
 
 def test_fit_nonfinite_loss_raises_before_backward():

@@ -1,10 +1,14 @@
-"""Print sha256 digests of what eight network configurations compute, as one
+"""Print sha256 digests of what nine network configurations compute, as one
 JSON object.
 
-Each configuration runs on one seeded 2x1x16x32x32 batch: two train steps
-and two eval steps under a gradient tape, each followed by a momentum-SGD
-update, then one tape-less eval forward.  A step's digest covers its loss,
-every parameter gradient, every BN running buffer and the logits; the last
+Eight configurations run on one seeded 2x1x16x32x32 batch, and DIDn(haar)
+runs once more on the 4x1x16x64x64 desk batch: there, from level 1 down,
+a kernel gradient with 8 or more output channels spans several gemm blocks
+per sample, the path whose bits OpenBLAS's thread count can change, so
+compare two trees at one thread count.  Each runs two train steps and two
+eval steps under a gradient tape, each followed by a momentum-SGD update,
+then one tape-less eval forward.  A step's digest covers its loss, every
+parameter gradient, every BN running buffer and the logits; the last
 digest covers the tape-less logits.  Two source trees compute bitwise the
 same losses, gradients, buffers and logits when their outputs are equal:
 
@@ -26,6 +30,7 @@ import numpy as np
 CONFIGS = (("PU", None), ("PDc", None), ("ScIn", None), ("DDc", "haar"), ("DI", "haar"),
            ("DIDn", "haar"), ("DIn", "db2"), ("DIDn", "db4"))
 SHAPE = (2, 1, 16, 32, 32)
+DESK = ("DIDn", "haar", (4, 1, 16, 64, 64))
 LR = 0.01
 
 
@@ -38,14 +43,14 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def digest_config(kind: str, wavelet: str | None) -> dict[str, str]:
+def digest_config(kind: str, wavelet: str | None, shape=SHAPE) -> dict[str, str]:
     from wavecube.arch import build, paper_spec
     from wavecube.nn import GradientTape, backward
     from wavecube.train import TrainConfig, TrainState, sgd_step, weighted_cross_entropy
 
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(SHAPE).astype(np.float32)
-    y = (rng.random(SHAPE[:1] + SHAPE[2:]) < 0.2).astype(np.int64)
+    x = rng.standard_normal(shape).astype(np.float32)
+    y = (rng.random(shape[:1] + shape[2:]) < 0.2).astype(np.int64)
     net = build(paper_spec(kind, wavelet), seed=0)
     params = dict(net.named_parameters())
     cfg, state = TrainConfig(), TrainState()
@@ -75,6 +80,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     digests = {f"{kind}({wavelet})" if wavelet else kind: digest_config(kind, wavelet)
                for kind, wavelet in CONFIGS}
+    kind, wavelet, shape = DESK
+    digests[f"{kind}({wavelet})@{'x'.join(map(str, shape))}"] = digest_config(*DESK)
     print(json.dumps(digests, indent=2))
     return 0
 
