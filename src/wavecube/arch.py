@@ -22,6 +22,7 @@ from .filters import FilterBank, builtin_bank
 from .nn.autograd import Tensor, as_tensor
 from .nn import functional as F
 from .nn.layers import Conv3, ConvBNReLU, Deconv2, Layer, SConv2
+from .validation import check_threshold
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,12 @@ def _encode(value) -> str:
         sep = ";" if value and isinstance(value[0], tuple) else ","
         return sep.join(_encode(v) for v in value)
     return str(value)
+
+
+def config_of(obj) -> dict[str, str]:
+    """Every field of a dataclass instance as `key -> text` (`_encode`), in
+    declaration order: a `NetworkSpec`, or the run record's `TrainConfig`."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _decode(text: str, like):
@@ -107,13 +114,11 @@ class NetworkSpec:
                         f"forward-process channels {enc_out} for {self.dual_structure}")
         if self.classes < 2:
             raise ValueError(f"classes must be at least 2, got {self.classes}")
-        if not 0 <= self.shrink_threshold < np.inf:
-            raise ValueError(
-                f"shrink_threshold must be finite and >= 0, got {self.shrink_threshold}")
+        check_threshold(self.shrink_threshold, "shrink_threshold")
 
     def to_config(self) -> dict[str, str]:
         """Every field as `key -> text`, in declaration order."""
-        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        return config_of(self)
 
     @staticmethod
     def from_config(config: dict[str, str]) -> "NetworkSpec":

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -200,9 +201,9 @@ def cmd_segment(args) -> int:
     state, meta = load_state(args.ckpt)
     if "dual_structure" not in meta:
         raise WavecubeError(f"{args.ckpt}: checkpoint metadata carries no network spec")
-    epoch = meta.pop("epoch", "?")
-    meta.pop("seed", None)
-    spec = NetworkSpec.from_config(meta)
+    # the run record also holds the training fields, `blas_threads` and `epoch`
+    spec = NetworkSpec.from_config(
+        {f.name: meta[f.name] for f in fields(NetworkSpec) if f.name in meta})
     network = build(spec)
     network.load_state_dict(state)
     volume = read_volume(args.infile)
@@ -210,7 +211,7 @@ def cmd_segment(args) -> int:
                             workers=args.workers)
     write_volume(args.out, result.labels)
     print(f"# segmented {volume.shape} with {spec.dual_structure}({spec.wavelet or '-'}) "
-          f"ckpt epoch {epoch} -> {args.out} "
+          f"ckpt epoch {meta.get('epoch', '?')} -> {args.out} "
           f"(blas threads {result.provenance['blas_threads']})", file=sys.stderr)
     return 0
 

@@ -21,6 +21,7 @@ import threading
 
 import numpy as np
 
+from .._blas import one_blas_thread
 from ..errors import ShapeMismatchError, TapeConsumedError, TapeMisuseError
 
 
@@ -165,6 +166,11 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     plus every gradient.  Afterwards the tape is empty (`len(tape) == 0`)
     and the `.grad` of an intermediate tensor, the loss included, is None.
     A tape can only be consumed once, and only with a loss it recorded.
+
+    The walk runs with numpy's OpenBLAS on one thread (`one_blas_thread`),
+    so no gradient depends on the caller's thread count; the count is
+    restored on return, also when an adjoint raises.  Inside an open cap
+    (`fit`), entering it again only counts one more user.
     """
     if tape.consumed:
         raise TapeConsumedError("backward already ran on this tape")
@@ -179,15 +185,16 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
 
     loss._accumulate(np.ones_like(loss.data))
     records = tape._records
-    while records:
-        output, adjoint = records.pop()
-        g = output.grad
-        if g is None:
-            continue
-        if not output.requires_grad:
-            output.grad = None
-        adjoint(g)
-        del output, adjoint, g
+    with one_blas_thread():
+        while records:
+            output, adjoint = records.pop()
+            g = output.grad
+            if g is None:
+                continue
+            if not output.requires_grad:
+                output.grad = None
+            adjoint(g)
+            del output, adjoint, g
 
     for p in parameters:
         if p.requires_grad and p.grad is None:

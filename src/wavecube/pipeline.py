@@ -8,15 +8,12 @@ output.
 
 from __future__ import annotations
 
-import ctypes
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .data.cubes import pad_to_multiple
 from .errors import ShapeMismatchError
 from .nn.functional import first_max
@@ -92,57 +89,6 @@ def assemble(grid: CubeGrid, cubes) -> np.ndarray:
     return out[:d, :m, :n]
 
 
-def _openblas():
-    """(get, set) of numpy's bundled OpenBLAS thread count, or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
-        lib = ctypes.CDLL(str(path))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
-
-
-# OpenBLAS keeps one thread count for the whole process (its
-# `set_num_threads_local` too, in numpy's scipy-openblas build), so
-# concurrent `_one_blas_thread` bodies share one cap: the first to enter
-# saves the caller's count and the last to leave restores it.
-_cap_lock = threading.Lock()
-_cap = {"users": 0, "saved": None}
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread; yields the count in
-    force (1), or "unknown" and changes nothing when no OpenBLAS is found.
-
-    Cube gemms are small ((Co <= 32) x (Ci*9) x block), so a second BLAS
-    thread gains nothing in one forward and, beside a second worker,
-    oversubscribes the cores."""
-    fns = _openblas()
-    if fns is None:
-        yield "unknown"
-        return
-    get, set_ = fns
-    with _cap_lock:
-        if _cap["users"] == 0:
-            _cap["saved"] = get()
-            set_(1)
-        _cap["users"] += 1
-    try:
-        yield 1
-    finally:
-        with _cap_lock:
-            _cap["users"] -= 1
-            if _cap["users"] == 0:
-                set_(_cap["saved"])
-
-
 def _at_origin(exc: Exception, origin) -> Exception:
     """`exc` re-made as its own type with the cube origin leading its
     message; or, for a type not built from a message alone (numpy's
@@ -183,7 +129,7 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
             raise located from exc
         return origin, first_max(logits).astype(np.uint8), logits if retain_logits else None
 
-    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
+    with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, cubes))
 
     labels = assemble(grid, [(o, lab) for o, lab, _ in results])

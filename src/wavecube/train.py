@@ -7,17 +7,18 @@ import math
 import resource
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .arch import Network, NetworkSpec, build
+from ._blas import one_blas_thread
+from .arch import Network, NetworkSpec, build, config_of
 from .errors import NonFiniteGradientError, NonFiniteLossError
 from .nn.autograd import GradientTape, Tensor, as_tensor, backward, op
 from .nn.checkpoint import save_state
 from .nn.functional import first_max
-from .pipeline import _one_blas_thread, iou_counts, iou_from_counts
+from .pipeline import iou_counts, iou_from_counts
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,12 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
 
     Deterministic given cfg.seed: the same seed fixes initialization,
     shuffling and the validation split, and every step runs with numpy's
-    OpenBLAS on one thread (`pipeline._one_blas_thread`), so no result
-    depends on the caller's thread count.  Writes one checkpoint per epoch
-    plus a tab-separated metrics log when `out_dir` is given.
+    OpenBLAS on one thread (`one_blas_thread`), so no result depends on the
+    caller's thread count.  Writes one checkpoint per epoch plus a
+    tab-separated metrics log when `out_dir` is given.  The run record,
+    every spec and `cfg` field plus `blas_threads` as `key=value` text, is
+    the log's second header line; each checkpoint's meta is the run record
+    plus `epoch`.
     """
     items = [_as_pair(it) for it in dataset]
     if not items:
@@ -213,14 +217,14 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
     t0 = time.monotonic()
 
     with ExitStack() as stack:
-        blas_threads = stack.enter_context(_one_blas_thread())
+        run = {**spec.to_config(), **config_of(cfg),
+               "blas_threads": str(stack.enter_context(one_blas_thread()))}
         metrics_fh = None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             metrics_fh = stack.enter_context(open(out_dir / "metrics.log", "w"))
             metrics_fh.write("# epoch\titeration\tlr\tloss\tbg_iou\tfg_iou\tmean_iou\n")
-            header = {**spec.to_config(), **asdict(cfg), "blas_threads": blas_threads}
-            metrics_fh.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
+            metrics_fh.write("# " + " ".join(f"{k}={v}" for k, v in run.items()) + "\n")
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n_train)
             losses = []
@@ -267,8 +271,7 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
 
             if out_dir is not None:
                 ckpt = out_dir / f"epoch_{epoch:03d}.ckpt"
-                meta = {**spec.to_config(), "epoch": str(epoch), "seed": str(cfg.seed)}
-                save_state(ckpt, network.state_dict(), meta)
+                save_state(ckpt, network.state_dict(), {**run, "epoch": str(epoch)})
                 checkpoints.append(str(ckpt))
 
     return FitResult(network, history, checkpoints)

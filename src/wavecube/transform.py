@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, WaveletMismatchError
 from .filters import SUBBAND_TAGS, FilterBank
-from .validation import as_volume, check_even_extents
+from .validation import as_volume, check_even_extents, check_threshold
 
 _TAG_INDEX = {t: i for i, t in enumerate(SUBBAND_TAGS)}
 
@@ -35,8 +35,7 @@ class ShrinkConfig:
     threshold: float = 0.25
 
     def __post_init__(self):
-        if not 0 <= self.threshold < np.inf:
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
+        check_threshold(self.threshold)
 
 
 @dataclass
@@ -176,13 +175,14 @@ def idwt3(s: SubbandSet, bank: FilterBank) -> np.ndarray:
 
 def hard_shrink_array(x: np.ndarray, threshold: float) -> np.ndarray:
     """Zero every coefficient with |x| <= threshold (strict keep outside);
-    NaN and +-inf are kept, and no zero is negative.  `threshold` is finite
-    and >= 0, as `ShrinkConfig` checks.
+    NaN and +-inf are kept, and no zero is negative.  Raises ValueError
+    unless `threshold` is finite and >= 0 (`check_threshold`).
 
     Computed as (|x| > threshold) * x in one buffer, about a third of the
     cost of a select: a kept value times 1 is itself, NaN times 0 stays NaN,
     and the final += 0.0 turns the -0.0 of a small negative times 0 into
     +0.0, so the bytes equal those of `np.where(|x| <= threshold, 0, x)`."""
+    check_threshold(threshold)
     out = np.abs(x)
     np.greater(out, threshold, out=out)
     out *= x

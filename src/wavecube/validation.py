@@ -36,6 +36,13 @@ def check_even_extents(shape: tuple[int, ...]) -> None:
             raise OddExtentError(f"odd extent {ext} in shape {shape}")
 
 
+def check_threshold(value: float, name: str = "threshold") -> None:
+    """Raise ValueError unless a shrinkage threshold is finite and >= 0: a
+    negative one keeps zeros that its gradient drops, NaN or inf zeroes all."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "arrays") -> None:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{what} differ in shape: {a.shape} vs {b.shape}")

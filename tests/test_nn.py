@@ -16,7 +16,7 @@ from wavecube.errors import (
     TapeConsumedError,
     TapeMisuseError,
 )
-from wavecube import train
+from wavecube import _blas, train
 from wavecube.filters import builtin_bank
 from wavecube.nn import (
     GradientTape,
@@ -233,6 +233,13 @@ def test_hard_shrink_layer_keeps_nan():
     np.testing.assert_array_equal(out.data[0, 0, 0, 0, 1:], [0.0, -1.0])
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad.ravel(), [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("threshold", [-1.0, np.nan, np.inf])
+def test_hard_shrink_layer_rejects_a_threshold_it_cannot_differentiate(threshold):
+    # -1 keeps x = 0, which the vjp's out != 0 mask drops; NaN or inf zeroes all
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+        hard_shrink_layer(np.array([0.0, 0.5, -2.0]), threshold)
 
 
 def test_batchnorm_train_normalizes():
@@ -649,6 +656,64 @@ def test_backward_consumes_the_tape_and_frees_what_it_no_longer_needs():
     np.testing.assert_array_equal(x.grad, np.full(x.shape, 8.0))
     with pytest.raises(TapeConsumedError):
         backward(tape, loss)
+
+
+OPENBLAS = _blas.openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The OpenBLAS (get, set) pair; the caller's own count is put back after."""
+    get, set_ = OPENBLAS
+    before = get()
+    try:
+        yield get, set_
+    finally:
+        set_(before)
+
+
+@needs_openblas
+def test_bare_backward_gives_the_same_kernel_gradient_at_any_caller_blas_thread_count(
+        caller_blas_threads):
+    # the 4->8 kernel gradient over a 2x4x8x32x32 input spans several gemm
+    # blocks per sample, and OpenBLAS sums those N = 8 products in another
+    # order on two threads than on one
+    get, set_ = caller_blas_threads
+    local = np.random.default_rng(0)
+    x = Tensor(local.standard_normal((2, 4, 8, 32, 32)).astype(np.float32))
+    weight = (local.standard_normal((8, 4, 3, 3, 3)) * 0.1).astype(np.float32)
+    probe = local.standard_normal((2, 8, 8, 32, 32)).astype(np.float32)
+    grads = {}
+    for threads in (1, 2):
+        set_(threads)
+        w = Tensor(weight, requires_grad=True)
+        with GradientTape() as tape:
+            loss = tensor_dot(conv3(x, w), probe)
+        backward(tape, loss)
+        assert get() == threads
+        grads[threads] = w.grad.tobytes()
+    assert grads[1] == grads[2]
+
+
+@needs_openblas
+def test_backward_restores_the_caller_blas_thread_count_when_a_vjp_raises(
+        caller_blas_threads):
+    get, set_ = caller_blas_threads
+    set_(2)
+    seen = []
+
+    def broken(g, needs):
+        seen.append(get())
+        raise RuntimeError("broken vjp")
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    with GradientTape() as tape:
+        loss = op(np.asarray(3.0), (x,), broken)
+    with pytest.raises(RuntimeError, match="broken vjp"):
+        backward(tape, loss)
+    assert seen == [1]
+    assert get() == 2
 
 
 def test_unused_parameters_get_zero_gradient():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wavecube import pipeline
+from wavecube import _blas
 from wavecube.arch import build, paper_spec
 from wavecube.errors import ShapeMismatchError
 from wavecube.nn import GradientTape
@@ -158,7 +158,7 @@ def test_segment_rejects_non_finite_or_non_3d_volume(bad):
 
 # -- BLAS thread cap -------------------------------------------------------------
 
-OPENBLAS = pipeline._openblas()
+OPENBLAS = _blas.openblas()
 needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
 
 
@@ -258,7 +258,7 @@ def test_segment_labels_independent_of_workers_with_blas_threads(two_blas_thread
 
 
 def test_segment_without_openblas_reports_unknown(monkeypatch):
-    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+    monkeypatch.setattr(_blas, "openblas", lambda: None)
     net = _bias_network((-1.0, 1.0))  # foreground wins everywhere
     result = segment_volume(np.zeros((16, 16, 16), dtype=np.float32), net, (16, 16, 16),
                             workers=2)

@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from wavecube import pipeline
+from wavecube import _blas
 from wavecube.arch import NetworkSpec, paper_spec
 from wavecube.data import PhantomConfig, generate_phantom_dataset
 from wavecube.errors import NonFiniteGradientError, NonFiniteLossError
 from wavecube.estimator import WaveUNetSegmenter
-from wavecube.nn import GradientTape, Tensor, backward
+from wavecube.nn import GradientTape, Tensor, backward, load_state
 from wavecube.train import (
     TrainConfig,
     TrainState,
@@ -171,7 +171,6 @@ def test_fit_writes_checkpoints_and_metrics(tmp_path):
     assert len(data_rows) == 2 * (2 + 1)
     assert all(len(r.split("\t")) == 7 for r in data_rows)
 
-    from wavecube.nn import load_state
     state, meta = load_state(result.checkpoints[-1])
     assert meta["dual_structure"] == "DIDn" and meta["wavelet"] == "haar"
     got = dict(result.network.state_dict())
@@ -189,7 +188,7 @@ def test_fit_log_line_reports_peak_rss():
         assert float(peak.group(1)) > 0
 
 
-OPENBLAS = pipeline._openblas()
+OPENBLAS = _blas.openblas()
 
 
 @pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
@@ -222,10 +221,26 @@ def test_fit_gives_the_same_bits_at_any_caller_blas_thread_count(tmp_path):
 
 
 def test_fit_metrics_header_without_openblas_reads_unknown(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+    monkeypatch.setattr(_blas, "openblas", lambda: None)
     cfg = TrainConfig(epochs=1, batch_size=2, seed=0, val_fraction=0.0)
     fit(paper_spec("PU"), _clean_phantoms(2), cfg, out_dir=tmp_path)
     assert "blas_threads=unknown" in (tmp_path / "metrics.log").read_text().splitlines()[1]
+
+
+def test_fit_run_record_is_the_metrics_header_and_the_checkpoint_meta(tmp_path):
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=3, val_fraction=0.0)
+    spec = paper_spec("DIDn", "haar")
+    result = fit(spec, _clean_phantoms(2), cfg, out_dir=tmp_path)
+    line = (tmp_path / "metrics.log").read_text().splitlines()[1]
+    header = dict(t.split("=", 1) for t in line[2:].split())
+    assert header == {**spec.to_config(), "epochs": "2", "base_lr": "0.1", "momentum": "0.9",
+                      "weight_decay": "0.0001", "batch_size": "2", "class_weights": "1.0,5.0",
+                      "poly_power": "0.9", "seed": "3", "val_fraction": "0.0",
+                      "blas_threads": header["blas_threads"]}
+    for epoch, ckpt in enumerate(result.checkpoints, start=1):
+        _, meta = load_state(ckpt)
+        assert meta.pop("epoch") == str(epoch)
+        assert meta == header
 
 
 def test_fit_nonfinite_loss_raises_before_backward():

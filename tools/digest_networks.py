@@ -4,8 +4,8 @@ JSON object.
 Eight configurations run on one seeded 2x1x16x32x32 batch, and DIDn(haar)
 runs once more on the 4x1x16x64x64 desk batch: there, from level 1 down,
 a kernel gradient with 8 or more output channels spans several gemm blocks
-per sample, the path whose bits OpenBLAS's thread count can change, so
-compare two trees at one thread count.  Each runs two train steps and two
+per sample, the path whose bits OpenBLAS's thread count would change if
+`backward` did not run on one thread.  Each runs two train steps and two
 eval steps under a gradient tape, each followed by a momentum-SGD update,
 then one tape-less eval forward.  A step's digest covers its loss, every
 parameter gradient, every BN running buffer and the logits; the last
@@ -15,6 +15,13 @@ same losses, gradients, buffers and logits when their outputs are equal:
     python tools/digest_networks.py > change.json
     python tools/digest_networks.py --src ../parent/src > parent.json
     diff parent.json change.json
+
+The digests agree at any OpenBLAS thread count; this checks that one tree
+computes the same bits on one thread as on two:
+
+    OPENBLAS_NUM_THREADS=1 python tools/digest_networks.py > t1.json
+    OPENBLAS_NUM_THREADS=2 python tools/digest_networks.py > t2.json
+    diff t1.json t2.json
 """
 
 from __future__ import annotations
