@@ -13,6 +13,13 @@ one output array, and its `vjp` maps that output's cotangent to one
 cotangent per input.  The tape alone decides which inputs need a
 gradient, adds the cotangents and checks their shapes.  An op with two
 results (`dwt_layer`) records each as an op of its own.
+
+The tape copies no cotangent: a tensor's first one becomes its `.grad`
+as given, so a `.grad` may share memory with another gradient (a slice
+of a `concat_channels` cotangent, or a `requires_grad` output's `.grad`)
+and is read-only.  A vjp never writes its incoming cotangent; it may
+write, and return, an array it saved in the forward, since the record,
+and so the vjp, runs once.
 """
 
 from __future__ import annotations
@@ -64,13 +71,15 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        """Add the cotangent `g` to `.grad`: the first is kept as given (cast
+        only to a different dtype), later ones are added out of place."""
         if g.shape != self.data.shape:
             raise ShapeMismatchError(
                 f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}")
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -134,7 +143,8 @@ def op(output, inputs, vjp):
     whether that input needs a gradient.  It returns one cotangent per
     input; the tape adds those that are needed, with a shape check, and
     ignores the rest, which may be None.  `vjp` is not called when no input
-    needs a gradient.
+    needs a gradient.  It must not write `g`, which the tape may have made
+    another tensor's `.grad`; a returned array is kept, not copied.
     """
     result = Tensor(output)
 

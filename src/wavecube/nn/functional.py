@@ -285,25 +285,38 @@ _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 
 
-def _bn_stats(a: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool):
-    """BN's per-channel (mean, inv_std) for the input `a`.  Training takes
-    the batch mean and variance of `a` and folds them (the variance
-    unbiased) into the running buffers in place, with weight `_BN_MOMENTUM`;
-    eval takes the buffers, cast to `a`'s dtype."""
-    if training:
-        mu = a.mean(axis=_AXES)
-        var = a.var(axis=_AXES)
-        count = a.size // a.shape[1]
-        unbias = count / max(count - 1, 1)
-        running_mean *= 1.0 - _BN_MOMENTUM
-        running_mean += _BN_MOMENTUM * mu
-        running_var *= 1.0 - _BN_MOMENTUM
-        running_var += _BN_MOMENTUM * var * unbias
-    else:
-        mu = running_mean.astype(a.dtype, copy=False)
-        var = running_var.astype(a.dtype, copy=False)
-    return mu, 1.0 / np.sqrt(var + _BN_EPS)
+def _running_stats(running_mean: np.ndarray, running_var: np.ndarray, dtype):
+    """Eval BN's per-channel (mean, inv_std), from the running buffers cast
+    to `dtype`."""
+    var = running_var.astype(dtype, copy=False)
+    return running_mean.astype(dtype, copy=False), 1.0 / np.sqrt(var + _BN_EPS)
+
+
+def _batchnorm_train(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                     running_mean: np.ndarray, running_var: np.ndarray, out=None):
+    """Training BN of the batch `a`: returns (gamma*xhat + beta, xhat, inv_std)
+    and folds the batch mean and variance (unbiased) into the running
+    buffers in place, with weight `_BN_MOMENTUM`.
+
+    The batch is centred once, into `out` (which may be `a` itself); the
+    variance is the mean of its squares, numpy's own `var` order, so the
+    bits equal `a.var`'s; then the centred buffer is scaled into xhat, and
+    the squares' buffer takes the result."""
+    mu = a.mean(axis=_AXES)
+    xhat = np.subtract(a, _col(mu), out=out)
+    result = np.square(xhat)
+    var = result.mean(axis=_AXES)
+    count = a.size // a.shape[1]
+    unbias = count / max(count - 1, 1)
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mu
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var * unbias
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    xhat *= _col(inv_std)
+    np.multiply(xhat, _col(gamma), out=result)
+    result += _col(beta)
+    return result, xhat, inv_std
 
 
 def _normalize(a: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
@@ -318,14 +331,17 @@ def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
     """BN's backward for the cotangent `g` of gamma*xhat + beta: the
     gradients (gx, g_gamma, g_beta).  In training the gradient also flows
     through the batch statistics:
-    gx = gamma*inv_std * (g - (g_beta + xhat*g_gamma) / count)."""
+    gx = gamma*inv_std * (g - (g_beta + xhat*g_gamma) / count).
+    `gx` is built in `xhat`'s buffer, which the caller gives up; `g` is
+    only read."""
     g_beta = g.sum(axis=_AXES)
     g_gamma = (g * xhat).sum(axis=_AXES)
     scale = _col(gamma * inv_std)
     if not training:
-        return g * scale, g_gamma, g_beta
+        return np.multiply(g, scale, out=xhat), g_gamma, g_beta
     count = g.size // g.shape[1]
-    gx = xhat * _col(g_gamma / count)
+    gx = xhat
+    gx *= _col(g_gamma / count)
     gx += _col(g_beta / count)
     np.subtract(g, gx, out=gx)
     gx *= scale
@@ -337,13 +353,19 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """Per-channel batch normalization.
 
     Train mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode uses the buffers.
+    buffers in place; eval mode uses the buffers.  The tape keeps the
+    normalized input xhat, which the adjoint turns into the input gradient.
     """
     x = as_tensor(x)
     _check_5d(x)
-    mu, inv_std = _bn_stats(x.data, running_mean, running_var, training)
-    xhat = _normalize(x.data, mu, inv_std)
-    return op(_col(gamma.data) * xhat + _col(beta.data), (x, gamma, beta),
+    if training:
+        out, xhat, inv_std = _batchnorm_train(x.data, gamma.data, beta.data,
+                                              running_mean, running_var)
+    else:
+        mu, inv_std = _running_stats(running_mean, running_var, x.data.dtype)
+        xhat = _normalize(x.data, mu, inv_std)
+        out = _col(gamma.data) * xhat + _col(beta.data)
+    return op(out, (x, gamma, beta),
               lambda g, needs: _batchnorm_adjoint(g, xhat, gamma.data, inv_std, training))
 
 
@@ -352,17 +374,18 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
     """relu(batchnorm(conv3(x, weight, bias), ...)) as one recorded op, with
     the values, gradients and running-buffer update of that chain.
 
-    Train mode normalizes with batch statistics.  The tape keeps `x`, the
-    conv output and the per-channel statistics; the adjoint takes the ReLU
-    mask from `result > 0`, recomputes BN's normalized input from the conv
-    output, runs BN's backward and then the conv's.
+    Train mode normalizes with batch statistics in the conv output's own
+    buffer, so the tape keeps `x`, BN's normalized input xhat (not the conv
+    output) and the per-channel statistics; the adjoint takes the ReLU mask
+    from `result > 0`, runs BN's backward, which builds its gradient in
+    xhat's buffer, and then the conv's.
 
     Eval mode folds BN into the conv on every call, from the current
     buffers: weight w*gamma/sigma, bias (b - mean)*gamma/sigma + beta, so a
-    newly loaded state is never stale.  Its adjoint recomputes the unfolded
-    conv output and then runs the training backward with BN's eval-mode
-    gradient, so gradients stay exact under a tape.  ReLU runs in place on
-    the output; NaN stays NaN."""
+    newly loaded state is never stale.  Its adjoint recomputes xhat from the
+    unfolded conv output and then runs the training backward with BN's
+    eval-mode gradient, so gradients stay exact under a tape.  ReLU runs in
+    place on the output; NaN stays NaN."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[1], "conv_bn_relu")
     pad = (weight.data.shape[2] - 1) // 2
@@ -374,13 +397,11 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
 
     if training:
         z = conv_out()
-        mu, inv_std = _bn_stats(z, running_mean, running_var, True)
-        out = _normalize(z, mu, inv_std)
-        out *= _col(gamma.data)
-        out += _col(beta.data)
+        out, xhat, inv_std = _batchnorm_train(z, gamma.data, beta.data,
+                                              running_mean, running_var, out=z)
     else:
-        z = None  # recomputed by the adjoint
-        mu, inv_std = _bn_stats(x.data, running_mean, running_var, False)
+        xhat = None  # recomputed by the adjoint
+        mu, inv_std = _running_stats(running_mean, running_var, x.data.dtype)
         scale = gamma.data * inv_std
         out = _correlate(x.data, weight.data * scale[:, None, None, None, None], pad)
         out += _col((bias.data - mu) * scale + beta.data)
@@ -388,10 +409,10 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
 
     def vjp(g, needs):
         # out > 0 selects the same entries as relu's input > 0, NaN included;
-        # the masked cotangent and xhat are freed before the conv's backward
-        # runs
+        # the masked cotangent is freed, and xhat's buffer holds BN's input
+        # gradient, before the conv's backward runs
         gz, g_gamma, g_beta = _batchnorm_adjoint(
-            g * (out > 0), _normalize(conv_out() if z is None else z, mu, inv_std),
+            g * (out > 0), _normalize(conv_out(), mu, inv_std) if xhat is None else xhat,
             gamma.data, inv_std, training)
         return (*_conv3_vjp(x.data, weight.data, pad, gz, needs), g_gamma, g_beta)
 
@@ -541,14 +562,14 @@ def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
     (7*B, C, z, y, x).  One analysis gives both, recorded as two ops.
     Backward is the exact adjoint, synthesis with the decomposition filters
     (equal to the inverse for orthogonal banks): `low`'s with the low-pass
-    filter alone, `highs`' with a zero low band."""
+    filter alone, `highs`' with the low band absent."""
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "dwt_layer")
     s = _forward3(x.data, (bank.lo_dec, bank.hi_dec))
     low = op(s[0], (x,), lambda g, needs: (_inverse3((g,), (bank.lo_dec,)),))
     highs = op(s[1:].reshape((-1,) + s.shape[2:]), (x,), lambda g, needs: (_inverse3(
-        [np.zeros_like(s[0]), *g.reshape(s[1:].shape)], (bank.lo_dec, bank.hi_dec)),))
+        [None, *g.reshape(s[1:].shape)], (bank.lo_dec, bank.hi_dec)),))
     return low, highs
 
 

@@ -35,8 +35,16 @@ class SegmentationResult:
     cube_logits: dict | None = None
 
 
+def _is_count(n) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def partition(volume: np.ndarray, cube_shape=(32, 128, 128)):
     """Tile a volume; returns (CubeGrid, list of (origin, cube))."""
+    if len(cube_shape) != 3 or not all(_is_count(c) and c > 0 for c in cube_shape):
+        raise ValueError(f"cube_shape must be 3 positive integer extents (z, y, x), "
+                         f"got {cube_shape!r}")
     if any(c % 16 != 0 for c in cube_shape):
         raise ValueError(f"cube shape {cube_shape} must be divisible by 16 per axis")
     padded = pad_to_multiple(volume, cube_shape)
@@ -114,8 +122,8 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
     forwards run with numpy's OpenBLAS on one thread; the caller's thread
     count is restored on return, also when a cube raises.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not (_is_count(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     grid, cubes = partition(as_volume(volume).astype(np.float32, copy=False), cube_shape)
 
     def run(item):

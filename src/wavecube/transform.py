@@ -114,20 +114,29 @@ def _analyze(s: np.ndarray, filters, axis: int) -> np.ndarray:
 def _synthesize(subbands, filters, axis: int) -> np.ndarray:
     """out[m, 2i + p] = sum_k sum_f filters[f][2k + p] * subbands[m*F + f][(i - k) mod n]
     along `axis`: each array extended once, by L/2 - 1 entries in front, tap k
-    a contiguous slice of it, each phase summed in one buffer and then placed."""
+    a contiguous slice of it.  An absent subband (None) adds no terms; each
+    group of F needs one present.  Along z a phase is whole planes and is
+    summed in place; along y and x it is summed in one buffer and then
+    placed, which keeps the long filters' sums contiguous."""
     taps, nf = len(filters[0]) // 2, len(filters)
-    shape = list(subbands[0].shape)
+    ref = next(a for a in subbands if a is not None)
+    shape = list(ref.shape)
     n = shape[axis]
     shape[axis] *= 2
-    out = np.empty((len(subbands) // nf,) + tuple(shape), dtype=subbands[0].dtype)
-    acc, tmp = np.empty((2,) + subbands[0].shape, dtype=out.dtype)
+    out = np.empty((len(subbands) // nf,) + tuple(shape), dtype=ref.dtype)
+    tmp = np.empty_like(ref)
+    acc = np.empty_like(ref) if axis != -3 else None
     shifts = [_along(axis, slice(taps - 1 - k, n + taps - 1 - k)) for k in range(taps)]
     for m, dst in enumerate(out):
-        group = [_wrap(a, taps - 1, 0, axis) for a in subbands[m * nf:(m + 1) * nf]]
+        group = [a if a is None else _wrap(a, taps - 1, 0, axis)
+                 for a in subbands[m * nf:(m + 1) * nf]]
         for p in (0, 1):
-            _weighted_sum(acc, ((f[2 * k + p], a[shift]) for k, shift in enumerate(shifts)
-                                for f, a in zip(filters, group)), tmp)
-            dst[_along(axis, slice(p, None, 2))] = acc
+            phase = dst[_along(axis, slice(p, None, 2))]
+            _weighted_sum(phase if acc is None else acc,
+                          ((f[2 * k + p], a[shift]) for k, shift in enumerate(shifts)
+                           for f, a in zip(filters, group) if a is not None), tmp)
+            if acc is not None:
+                phase[...] = acc
     return out
 
 
@@ -143,8 +152,11 @@ def _forward3(x: np.ndarray, filters) -> np.ndarray:
 
 def _inverse3(subbands, filters) -> np.ndarray:
     """`_synthesize` along x, y, z: `_forward3`'s adjoint (its inverse with the
-    dual filters), from any sequence of F**3 arrays in `_forward3`'s order."""
-    filters = [f.astype(subbands[0].dtype, copy=False) for f in filters]
+    dual filters), from any sequence of F**3 arrays in `_forward3`'s order;
+    an absent subband (None) counts as zero, as long as each group of F that
+    the x pass combines keeps one present."""
+    dtype = next(a for a in subbands if a is not None).dtype
+    filters = [f.astype(dtype, copy=False) for f in filters]
     s = subbands
     for axis in (-1, -2, -3):
         s = _synthesize(s, filters, axis)

@@ -365,3 +365,17 @@ def test_segment_rejects_fewer_than_one_worker():
     with pytest.raises(ValueError, match="workers"):
         segment_volume(np.zeros((16, 16, 16), dtype=np.float32),
                        build(paper_spec("PU"), seed=5), (16, 16, 16), workers=0)
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2"])
+def test_segment_rejects_a_worker_count_that_is_not_an_integer(workers):
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        segment_volume(np.zeros((16, 16, 16), dtype=np.float32),
+                       build(paper_spec("PU"), seed=5), (16, 16, 16), workers=workers)
+
+
+@pytest.mark.parametrize("cube_shape", [(16, 16), (16, 16, 16, 16), (16.0, 16, 16), (0, 16, 16)])
+def test_segment_rejects_a_cube_shape_that_is_not_three_extents(cube_shape):
+    with pytest.raises(ValueError, match="cube_shape must be 3 positive integer extents"):
+        segment_volume(np.zeros((16, 16, 16), dtype=np.float32),
+                       build(paper_spec("PU"), seed=5), cube_shape)
