@@ -292,27 +292,34 @@ def _running_stats(running_mean: np.ndarray, running_var: np.ndarray, dtype):
     return running_mean.astype(dtype, copy=False), 1.0 / np.sqrt(var + _BN_EPS)
 
 
-def _batchnorm_train(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                     running_mean: np.ndarray, running_var: np.ndarray, out=None):
-    """Training BN of the batch `a`: returns (gamma*xhat + beta, xhat, inv_std)
-    and folds the batch mean and variance (unbiased) into the running
-    buffers in place, with weight `_BN_MOMENTUM`.
-
-    The batch is centred once, into `out` (which may be `a` itself); the
-    variance is the mean of its squares, numpy's own `var` order, so the
-    bits equal `a.var`'s; then the centred buffer is scaled into xhat, and
-    the squares' buffer takes the result."""
-    mu = a.mean(axis=_AXES)
-    xhat = np.subtract(a, _col(mu), out=out)
-    result = np.square(xhat)
-    var = result.mean(axis=_AXES)
-    count = a.size // a.shape[1]
+def _batch_inv_std(mu: np.ndarray, var: np.ndarray, count: int,
+                   running_mean: np.ndarray, running_var: np.ndarray) -> np.ndarray:
+    """Training BN's per-channel inv_std from the batch mean and variance of
+    `count` entries per channel, which it folds (the variance unbiased) into
+    the running buffers in place, with weight `_BN_MOMENTUM`."""
     unbias = count / max(count - 1, 1)
     running_mean *= 1.0 - _BN_MOMENTUM
     running_mean += _BN_MOMENTUM * mu
     running_var *= 1.0 - _BN_MOMENTUM
     running_var += _BN_MOMENTUM * var * unbias
-    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    return 1.0 / np.sqrt(var + _BN_EPS)
+
+
+def _batchnorm_train(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                     running_mean: np.ndarray, running_var: np.ndarray):
+    """Training BN of the batch `z`, in `z`'s own buffer: returns
+    (gamma*xhat + beta, xhat, inv_std), where xhat is `z` overwritten, and
+    updates the running buffers as `_batch_inv_std` does.
+
+    The batch is centred once, in place; the variance is the mean of its
+    squares, numpy's own `var` order, so the bits equal `z.var`'s; then the
+    centred buffer is scaled into xhat, and the squares' buffer takes the
+    result."""
+    mu = z.mean(axis=_AXES)
+    xhat = np.subtract(z, _col(mu), out=z)
+    result = np.square(xhat)
+    var = result.mean(axis=_AXES)
+    inv_std = _batch_inv_std(mu, var, z.size // z.shape[1], running_mean, running_var)
     xhat *= _col(inv_std)
     np.multiply(xhat, _col(gamma), out=result)
     result += _col(beta)
@@ -353,19 +360,21 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """Per-channel batch normalization.
 
     Train mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode uses the buffers.  The tape keeps the
-    normalized input xhat, which the adjoint turns into the input gradient.
+    buffers in place; eval mode uses the buffers.  This is the plain
+    formula (`a.var`, a fresh xhat): the reference that `conv_bn_relu`'s
+    in-place training path matches bit for bit.
     """
     x = as_tensor(x)
     _check_5d(x)
+    a = x.data
     if training:
-        out, xhat, inv_std = _batchnorm_train(x.data, gamma.data, beta.data,
-                                              running_mean, running_var)
+        mu = a.mean(axis=_AXES)
+        inv_std = _batch_inv_std(mu, a.var(axis=_AXES), a.size // a.shape[1],
+                                 running_mean, running_var)
     else:
-        mu, inv_std = _running_stats(running_mean, running_var, x.data.dtype)
-        xhat = _normalize(x.data, mu, inv_std)
-        out = _col(gamma.data) * xhat + _col(beta.data)
-    return op(out, (x, gamma, beta),
+        mu, inv_std = _running_stats(running_mean, running_var, a.dtype)
+    xhat = _normalize(a, mu, inv_std)
+    return op(_col(gamma.data) * xhat + _col(beta.data), (x, gamma, beta),
               lambda g, needs: _batchnorm_adjoint(g, xhat, gamma.data, inv_std, training))
 
 
@@ -398,7 +407,7 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
     if training:
         z = conv_out()
         out, xhat, inv_std = _batchnorm_train(z, gamma.data, beta.data,
-                                              running_mean, running_var, out=z)
+                                              running_mean, running_var)
     else:
         xhat = None  # recomputed by the adjoint
         mu, inv_std = _running_stats(running_mean, running_var, x.data.dtype)
@@ -428,6 +437,13 @@ def relu(x) -> Tensor:
 
 
 def concat_channels(a, b) -> Tensor:
+    """`a` and `b` stacked along channels.
+
+    The backward gives `a` a view of the cotangent and `b` a copy of its
+    half: in the networks `b` is the skip, whose gradient waits for the
+    encoder's adjoint, and a view would keep both halves alive until then
+    (at PDc's level 0 on a 32x128x128 cube, 8 MiB through the deeper
+    backward)."""
     a, b = as_tensor(a), as_tensor(b)
     _check_5d(a, "concat lhs")
     _check_5d(b, "concat rhs")
@@ -436,7 +452,7 @@ def concat_channels(a, b) -> Tensor:
         raise ShapeMismatchError(f"concat_channels batch/spatial mismatch: {sa} vs {sb}")
     split = sa[1]
     return op(np.concatenate([a.data, b.data], axis=1), (a, b),
-              lambda g, needs: (g[:, :split], g[:, split:]))
+              lambda g, needs: (g[:, :split], g[:, split:].copy()))
 
 
 def hard_shrink_layer(x, threshold: float) -> Tensor:

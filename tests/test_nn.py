@@ -472,6 +472,29 @@ def test_conv_bn_relu_matches_chain(training, dtype, tol):
         assert not np.array_equal(got_bufs[0], case[2][0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_training_bn_is_bitwise_the_plain_formula(dtype):
+    # `_batchnorm_train` takes the variance as the mean of the squared
+    # centred batch; on a batch large enough for summation order to show,
+    # its output, xhat and buffers are bitwise those of `a.var` and a fresh
+    # (a - mean) * inv_std, which `batchnorm` computes
+    local = np.random.default_rng(36)
+    a = local.normal(3.0, 2.0, (2, 5, 8, 16, 16)).astype(dtype)
+    gamma, beta = local.uniform(0.5, 1.5, 5).astype(dtype), local.normal(0.0, 0.5, 5).astype(dtype)
+    buffers = (local.normal(0.0, 0.1, 5).astype(dtype), local.uniform(0.5, 1.5, 5).astype(dtype))
+    got_bufs = tuple(b.copy() for b in buffers)
+    got, xhat, inv_std = functional._batchnorm_train(a.copy(), gamma, beta, *got_bufs)
+    want_bufs = tuple(b.copy() for b in buffers)
+    want = batchnorm(Tensor(a), Tensor(gamma), Tensor(beta), *want_bufs, True).data
+    axes = (0, 2, 3, 4)
+    want_inv_std = 1.0 / np.sqrt(a.var(axis=axes) + functional._BN_EPS)
+    np.testing.assert_array_equal(inv_std, want_inv_std)
+    np.testing.assert_array_equal(xhat, functional._normalize(a, a.mean(axis=axes), want_inv_std))
+    np.testing.assert_array_equal(got, want)
+    for got_buf, want_buf in zip(got_bufs, want_bufs):
+        np.testing.assert_array_equal(got_buf, want_buf)
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_conv_bn_relu_gradients_match_finite_differences(training):
     x0, p0, buffers0, probe = case = cbr_case(32)
@@ -860,6 +883,22 @@ def test_concat_of_a_tensor_with_itself_adds_both_halves_out_of_place():
     np.testing.assert_array_equal(y.grad, probe)
     np.testing.assert_array_equal(x.grad, probe[:, :2] + probe[:, 2:])
 
+
+
+def test_concat_gives_its_second_input_a_gradient_of_its_own():
+    # the skip's gradient waits for the encoder's adjoint; a view would keep
+    # the whole concatenated cotangent alive until then
+    a = Tensor(rng.standard_normal((1, 2, 2, 2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, 3, 2, 2, 2)), requires_grad=True)
+    probe = rng.standard_normal((1, 5, 2, 2, 2))
+    with GradientTape() as tape:
+        y = concat_channels(a, b)
+        y.requires_grad = True
+        loss = tensor_dot(y, probe)
+    backward(tape, loss)
+    assert not np.shares_memory(b.grad, y.grad)
+    np.testing.assert_array_equal(a.grad, probe[:, :2])
+    np.testing.assert_array_equal(b.grad, probe[:, 2:])
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("unit", ["conv_bn_relu", "batchnorm"])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -50,32 +51,51 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
+class Run:
+    """The seeded network, batch and momentum-SGD state of one configuration,
+    built by the `wavecube` package imported under the name `package`.
+    This is the one definition of a training step that this tool digests
+    and `step_pairs.py` times."""
+
+    def __init__(self, package: str, kind: str, wavelet: str | None, shape):
+        arch = importlib.import_module(f"{package}.arch")
+        self.nn = importlib.import_module(f"{package}.nn")
+        self.train = importlib.import_module(f"{package}.train")
+        rng = np.random.default_rng(0)
+        self.x = rng.standard_normal(shape).astype(np.float32)
+        self.y = (rng.random(shape[:1] + shape[2:]) < 0.2).astype(np.int64)
+        self.net = arch.build(arch.paper_spec(kind, wavelet), seed=0)
+        self.params = dict(self.net.named_parameters())
+        self.cfg, self.state = self.train.TrainConfig(), self.train.TrainState()
+
+    def step(self, training: bool):
+        """Forward under a gradient tape, the weighted loss and `backward`,
+        which leaves the parameter gradients in `.grad`: returns (logits,
+        loss)."""
+        self.net.zero_grad()
+        with self.nn.GradientTape() as tape:
+            logits = self.net.forward(self.x, training=training)
+            loss = self.train.weighted_cross_entropy(logits, self.y, self.cfg.class_weights)
+        self.nn.backward(tape, loss, parameters=self.params.values())
+        return logits, loss
+
+    def update(self):
+        """The momentum-SGD update from the last step's gradients."""
+        self.train.sgd_step({p: t.data for p, t in self.params.items()},
+                            {p: t.grad for p, t in self.params.items()}, self.state, LR, self.cfg)
+
+
 def digest_config(kind: str, wavelet: str | None, shape=SHAPE) -> dict[str, str]:
-    from wavecube.arch import build, paper_spec
-    from wavecube.nn import GradientTape, backward
-    from wavecube.train import TrainConfig, TrainState, sgd_step, weighted_cross_entropy
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(shape).astype(np.float32)
-    y = (rng.random(shape[:1] + shape[2:]) < 0.2).astype(np.int64)
-    net = build(paper_spec(kind, wavelet), seed=0)
-    params = dict(net.named_parameters())
-    cfg, state = TrainConfig(), TrainState()
-
+    run = Run("wavecube", kind, wavelet, shape)
     out = {}
     for step, training in (("train1", True), ("train2", True), ("eval1", False),
                            ("eval2", False)):
-        net.zero_grad()
-        with GradientTape() as tape:
-            logits = net.forward(x, training=training)
-            loss = weighted_cross_entropy(logits, y, cfg.class_weights)
-        backward(tape, loss, parameters=params.values())
+        logits, loss = run.step(training)
         out[step] = _digest([("loss", loss.data), ("logits", logits.data)]
-                            + [(f"grad:{p}", t.grad) for p, t in params.items()]
-                            + [(f"buffer:{p}", b) for p, b in net.named_buffers()])
-        sgd_step({p: t.data for p, t in params.items()}, {p: t.grad for p, t in params.items()},
-                 state, LR, cfg)
-    out["forward"] = _digest([("logits", net.forward(x, training=False).data)])
+                            + [(f"grad:{p}", t.grad) for p, t in run.params.items()]
+                            + [(f"buffer:{p}", b) for p, b in run.net.named_buffers()])
+        run.update()
+    out["forward"] = _digest([("logits", run.net.forward(run.x, training=False).data)])
     return out
 
 

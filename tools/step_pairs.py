@@ -3,12 +3,13 @@ process, and print each tree's median step time, minor page faults per
 step and the paired time ratio.
 
 Both trees build the same seeded network and batch and run the same
-training step: a forward under a gradient tape, the weighted loss,
-`backward` and a momentum-SGD update, each tree under its own
-`one_blas_thread`.  Pair i runs the parent's step first when i is even
-and this tree's first when it is odd.  A machine whose speed drifts by a
-quarter between runs moves both halves of a pair alike, so the paired
-ratio resolves changes that separate runs cannot:
+training step, `digest_networks.Run`'s (the step that tool digests): a
+forward under a gradient tape, the weighted loss, `backward` and a
+momentum-SGD update, each tree under its own `one_blas_thread`.  Pair i
+runs the parent's step first when i is even and this tree's first when
+it is odd.  A machine whose speed drifts by a quarter between runs moves
+both halves of a pair alike, so the paired ratio resolves changes that
+separate runs cannot:
 
     python tools/step_pairs.py --src ../parent/src --arch PU --shape 1x1x32x128x128
     python tools/step_pairs.py --src ../parent/src --arch DIDn --shape 4x1x16x64x64
@@ -33,7 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
+from digest_networks import Run
+
 WARMUP = 2  # untimed steps per tree: the first steps set up the heap
+PAIRS = 16  # timed steps per tree
 
 
 def load_tree(src: Path, name: str):
@@ -49,41 +53,27 @@ def load_tree(src: Path, name: str):
     return module
 
 
-class Stepper:
-    """One tree's network, batch and SGD state; `step()` runs one training
-    step and returns (seconds, minor faults, loss)."""
+class TimedRun(Run):
+    """A `Run` of the training step, timed under its own tree's
+    `one_blas_thread`."""
 
-    def __init__(self, src: Path, name: str, arch: str, shape):
-        load_tree(src, name)
-        arch_mod = importlib.import_module(f"{name}.arch")
-        self.nn = importlib.import_module(f"{name}.nn")
-        self.train = importlib.import_module(f"{name}.train")
-        self.blas = importlib.import_module(f"{name}._blas")
-        rng = np.random.default_rng(0)
-        self.x = rng.standard_normal(shape).astype(np.float32)
-        self.y = (rng.random(shape[:1] + shape[2:]) < 0.2).astype(np.int64)
-        self.net = arch_mod.build(arch_mod.paper_spec(arch), seed=0)
-        self.params = dict(self.net.named_parameters())
-        self.arrays = {p: t.data for p, t in self.params.items()}
-        self.cfg, self.state = self.train.TrainConfig(), self.train.TrainState()
-        self.weights = np.asarray(self.cfg.class_weights, dtype=np.float64)
+    def __init__(self, package: str, kind: str, shape):
+        super().__init__(package, kind, None, shape)
+        self.blas = importlib.import_module(f"{package}._blas")
+        self.kept = None
 
-    def step(self):
-        nn, train = self.nn, self.train
+    def timed_step(self):
+        """One training step and its update: returns (seconds, minor faults,
+        loss)."""
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         with self.blas.one_blas_thread():
-            self.net.zero_grad()
-            with nn.GradientTape() as tape:
-                logits = self.net.forward(self.x, training=True)
-                loss = train.weighted_cross_entropy(logits, self.y, self.weights)
-            nn.backward(tape, loss, parameters=self.params.values())
-            train.sgd_step(self.arrays, {p: t.grad for p, t in self.params.items()},
-                           self.state, 0.01, self.cfg)
+            logits, loss = self.step(True)
+            self.update()
         seconds = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         # kept until the next step replaces them, as in `fit`'s loop
-        self.logits, self.loss = logits, loss
+        self.kept = logits, loss
         return seconds, faults, float(loss.data)
 
 
@@ -98,22 +88,23 @@ def main(argv=None) -> int:
     parser.add_argument("--arch", default="PU",
                         help="dual structure, built with paper_spec (haar for wavelet ones)")
     parser.add_argument("--shape", default="1x1x32x128x128", help="batch shape BxCxZxYxX")
-    parser.add_argument("--pairs", type=int, default=16)
     args = parser.parse_args(argv)
     shape = tuple(int(e) for e in args.shape.split("x"))
 
-    trees = {"parent": Stepper(Path(args.src).resolve(), "wavecube_parent", args.arch, shape),
-             "change": Stepper(Path(__file__).resolve().parents[1] / "src", "wavecube_change",
-                               args.arch, shape)}
+    trees = {}
+    for name, src in (("parent", Path(args.src).resolve()),
+                      ("change", Path(__file__).resolve().parents[1] / "src")):
+        load_tree(src, f"wavecube_{name}")
+        trees[name] = TimedRun(f"wavecube_{name}", args.arch, shape)
     for _ in range(WARMUP):
-        for stepper in trees.values():
-            stepper.step()
+        for run in trees.values():
+            run.timed_step()
     runs = {name: [] for name in trees}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[name].append(trees[name].step())
+            runs[name].append(trees[name].timed_step())
 
-    report = {"arch": args.arch, "shape": args.shape, "pairs": args.pairs}
+    report = {"arch": args.arch, "shape": args.shape, "pairs": PAIRS}
     for name, steps in runs.items():
         report[name] = {"step_s.p50": float(np.median([s for s, _, _ in steps])),
                         "minor_faults.p50": float(np.median([f for _, f, _ in steps]))}
