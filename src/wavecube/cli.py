@@ -38,7 +38,7 @@ from .errors import (
 from .filters import SUBBAND_TAGS, builtin_bank
 from .nn.checkpoint import load_state
 from .pipeline import iou, segment_volume
-from .train import TrainConfig, fit
+from .train import SHORT_SCHEDULE, TrainConfig, fit
 from .transform import ShrinkConfig, SubbandSet, dwt3, hard_shrink, idwt3
 from .wavelet_tables import WAVELET_NAMES
 
@@ -181,13 +181,22 @@ def _load_cube_dir(path: Path):
     return dataset
 
 
+# `TrainConfig` fields that `train` offers no option for: the loss's class
+# weights and the LR decay's power stay at their defaults
+_FIXED_TRAIN_FIELDS = ("class_weights", "poly_power")
+
+
+def _train_options():
+    """(name, default) of each `TrainConfig` field that `train` takes as an
+    option, in field order, with the estimator's shorter schedule."""
+    return [(f.name, SHORT_SCHEDULE.get(f.name, f.default)) for f in fields(TrainConfig)
+            if f.name not in _FIXED_TRAIN_FIELDS]
+
+
 def cmd_train(args) -> int:
     spec = _network_spec(args)
     dataset = _load_cube_dir(Path(args.data))
-    cfg = TrainConfig(epochs=args.epochs, base_lr=args.base_lr,
-                      momentum=args.momentum, weight_decay=args.weight_decay,
-                      batch_size=args.batch_size, seed=args.seed,
-                      val_fraction=args.val_fraction)
+    cfg = TrainConfig(**{name: getattr(args, name) for name, _ in _train_options()})
     print(f"# training {spec.dual_structure}({spec.wavelet or '-'}) on "
           f"{len(dataset)} cubes, {cfg.epochs} epochs, seed {cfg.seed}", file=sys.stderr)
     result = fit(spec, dataset, cfg, out_dir=args.out,
@@ -300,13 +309,8 @@ def build_parser() -> Parser:
     p.add_argument("--wavelet", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--base-lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0001)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    for name, default in _train_options():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("segment", help="segment a whole volume with a checkpoint")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .arch import NetworkSpec, WAVELET_STRUCTURES
 from .pipeline import segment_volume
-from .train import TrainConfig, argmax_batches, evaluate_iou, fit
+from .train import SHORT_SCHEDULE, TrainConfig, argmax_batches, evaluate_iou, fit
 
 
 def _check_cube_stack(X, name: str = "X") -> np.ndarray:
@@ -28,17 +28,16 @@ class WaveUNetSegmenter:
 
     Its parameters are `arch`, `wavelet` and `shrink_threshold` for the
     network plus every `TrainConfig` field, all keywords; the training
-    defaults are `TrainConfig`'s except for a shorter schedule of 10 epochs
-    at batch size 4.
+    defaults are `TrainConfig`'s except for the shorter schedule
+    `SHORT_SCHEDULE`, 10 epochs at batch size 4.
     """
 
     _DEFAULTS = {
         "arch": "DIDn",
         "wavelet": "haar",
         "shrink_threshold": NetworkSpec.__dataclass_fields__["shrink_threshold"].default,
-        **{f.name: getattr(TrainConfig(), f.name) for f in fields(TrainConfig)},
-        "epochs": 10,
-        "batch_size": 4,
+        **{f.name: f.default for f in fields(TrainConfig)},
+        **SHORT_SCHEDULE,
     }
 
     def __init__(self, **params):

@@ -14,6 +14,15 @@ cotangent per input.  The tape alone decides which inputs need a
 gradient, adds the cotangents and checks their shapes.  An op with two
 results (`dwt_layer`) records each as an op of its own.
 
+The tape keeps no activation.  Every Tensor owns a gradient slot: its
+`.grad`, `requires_grad`, shape and dtype, but not its data.  A record
+holds its output's slot and its adjoint, and the adjoint holds its
+inputs' slots plus whatever the vjp closes over.  So an op's output lives
+only while the caller, or a vjp that reads it, holds it.  Nor does the
+walk keep a cotangent: it hands each one over to the vjp, which may drop
+it once read (on CPython 3.11 and later, where a call moves its arguments
+into the callee's frame).
+
 The tape copies no cotangent: a tensor's first one becomes its `.grad`
 as given, so a `.grad` may share memory with another gradient (a slice
 of a `concat_channels` cotangent, or a `requires_grad` output's `.grad`)
@@ -43,21 +52,49 @@ class _TapeStack(threading.local):
 _TAPE_STACK = _TapeStack()
 
 
+class _Slot:
+    """A tensor's gradient slot: its `.grad`, `requires_grad`, whether a tape
+    recorded it, and the shape and dtype that a cotangent must have."""
+
+    __slots__ = ("grad", "requires_grad", "recorded", "shape", "dtype")
+
+    def __init__(self, data: np.ndarray, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.recorded = False
+        self.shape, self.dtype = data.shape, data.dtype
+
+    def wants_grad(self) -> bool:
+        """True when a gradient must be accumulated here: a `requires_grad`
+        tensor, or a recorded op's output, which passes its gradient on."""
+        return self.requires_grad or self.recorded
+
+    def _accumulate(self, g: np.ndarray):
+        """Add the cotangent `g` to `.grad`: the first is kept as given (cast
+        only to a different dtype), later ones are added out of place."""
+        if g.shape != self.shape:
+            raise ShapeMismatchError(
+                f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
+        if self.grad is None:
+            self.grad = g.astype(self.dtype, copy=False)
+        else:
+            self.grad = (self.grad + g).astype(self.dtype, copy=False)
+
+
 class Tensor:
-    """A numpy array plus gradient slot.
+    """A numpy array plus its gradient slot.
 
     `requires_grad=True` marks trainable leaves (parameters or probed
     inputs); tensors produced by recorded ops propagate gradients
-    regardless so the chain stays connected.
+    regardless so the chain stays connected.  `.grad` and `requires_grad`
+    read and write the slot, which the tape keeps after the tensor is gone.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_recorded")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._recorded = False
+        self._slot = _Slot(self.data, requires_grad)
 
     @property
     def shape(self):
@@ -67,19 +104,28 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
 
-    def _accumulate(self, g: np.ndarray):
-        """Add the cotangent `g` to `.grad`: the first is kept as given (cast
-        only to a different dtype), later ones are added out of place."""
-        if g.shape != self.data.shape:
-            raise ShapeMismatchError(
-                f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
-        else:
-            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
+    @grad.setter
+    def grad(self, value: np.ndarray | None):
+        self._slot.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool):
+        self._slot.requires_grad = value
+
+    @property
+    def _recorded(self) -> bool:
+        return self._slot.recorded
+
+    def zero_grad(self):
+        self._slot.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -90,10 +136,10 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 class GradientTape:
-    """Recorded operation sequence; each record is (output, adjoint_fn)."""
+    """Recorded operation sequence; each record is (output slot, adjoint_fn)."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, callable]] = []
+        self._records: list[tuple[_Slot, callable]] = []
         self.consumed = False
 
     def __enter__(self):
@@ -117,22 +163,18 @@ def active_tape() -> GradientTape | None:
     return tapes[-1] if tapes else None
 
 
-def wants_grad(t) -> bool:
-    """True when a gradient must be accumulated into `t`."""
-    return isinstance(t, Tensor) and (t.requires_grad or t._recorded)
-
-
 def record(output: Tensor, adjoint) -> None:
     """Register an op's output on the active tape (no-op in inference mode).
 
+    The record keeps the output's gradient slot, not the output.
     `adjoint(g)` receives the output's cotangent, and is not called when no
-    gradient flowed into the output; it must accumulate into the op's
-    parents via `Tensor._accumulate`.  `op` builds every such adjoint.
+    gradient flowed into the output; it must accumulate into the slots of
+    the op's inputs.  `op` builds every such adjoint.
     """
     tape = active_tape()
     if tape is not None:
-        output._recorded = True
-        tape._records.append((output, adjoint))
+        output._slot.recorded = True
+        tape._records.append((output._slot, adjoint))
 
 
 def op(output, inputs, vjp):
@@ -144,17 +186,26 @@ def op(output, inputs, vjp):
     input; the tape adds those that are needed, with a shape check, and
     ignores the rest, which may be None.  `vjp` is not called when no input
     needs a gradient.  It must not write `g`, which the tape may have made
-    another tensor's `.grad`; a returned array is kept, not copied.
+    another tensor's `.grad`; a returned array is kept, not copied.  The
+    adjoint holds the inputs' slots, not the inputs, so an input's data
+    outlives the forward only if `vjp` closes over it.  Neither the
+    adjoint nor `backward` holds `g` while `vjp` runs, so a vjp that has
+    read it can `del g` before its heavy part; the cotangent is then freed
+    unless something else, such as a `requires_grad` tensor's `.grad`,
+    holds it.
     """
     result = Tensor(output)
+    slots = tuple(t._slot if isinstance(t, Tensor) else None for t in inputs)
 
     def adjoint(g):
-        needs = tuple(wants_grad(t) for t in inputs)
+        needs = tuple(s is not None and s.wants_grad() for s in slots)
         if not any(needs):
             return
-        for t, need, gi in zip(inputs, needs, vjp(g, needs), strict=True):
+        held = [g]  # handed to vjp without a reference of this frame's own
+        del g
+        for s, need, gi in zip(slots, needs, vjp(held.pop(), needs), strict=True):
             if need:
-                t._accumulate(gi)
+                s._accumulate(gi)
 
     record(result, adjoint)
     return result
@@ -168,9 +219,9 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     loss never touched gets an explicit zero gradient.
 
     The pass consumes the tape as it walks it: each record is popped, the
-    `.grad` of its output is cleared, unless it is `requires_grad`, before
-    its adjoint runs, and the record is dropped once the adjoint returns.
-    So the arrays an op saved for its backward, and each intermediate
+    `.grad` of its output is cleared, unless it is `requires_grad`, and
+    handed over to its adjoint, and the record is dropped once the adjoint
+    returns.  So the arrays an op saved for its backward, and each intermediate
     gradient, are freed as soon as nothing later in the pass needs them:
     the pass's peak stays near what the forward held, not the whole tape
     plus every gradient.  Afterwards the tape is empty (`len(tape) == 0`)
@@ -189,22 +240,22 @@ def backward(tape: GradientTape, loss: Tensor, parameters=()) -> None:
     if not loss._recorded:
         raise ValueError("loss was not recorded on a tape")
     # the loss is normally the last record, so this walk stops at once
-    if not any(o is loss for o, _ in reversed(tape._records)):
+    if not any(s is loss._slot for s, _ in reversed(tape._records)):
         raise TapeMisuseError("loss was recorded on another tape than the one given")
     tape.consumed = True
 
-    loss._accumulate(np.ones_like(loss.data))
+    loss._slot._accumulate(np.ones_like(loss.data))
     records = tape._records
     with one_blas_thread():
         while records:
-            output, adjoint = records.pop()
-            g = output.grad
-            if g is None:
+            slot, adjoint = records.pop()
+            if slot.grad is None:
                 continue
-            if not output.requires_grad:
-                output.grad = None
-            adjoint(g)
-            del output, adjoint, g
+            held = [slot.grad]  # handed over as in `op`
+            if not slot.requires_grad:
+                slot.grad = None
+            adjoint(held.pop())
+            del slot, adjoint
 
     for p in parameters:
         if p.requires_grad and p.grad is None:

@@ -384,17 +384,18 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
     the values, gradients and running-buffer update of that chain.
 
     Train mode normalizes with batch statistics in the conv output's own
-    buffer, so the tape keeps `x`, BN's normalized input xhat (not the conv
-    output) and the per-channel statistics; the adjoint takes the ReLU mask
-    from `result > 0`, runs BN's backward, which builds its gradient in
+    buffer, so the adjoint keeps `x`, BN's normalized input xhat (not the
+    conv output) and the per-channel statistics, but not the output: it
+    recomputes the ReLU mask from gamma*xhat + beta > 0, the forward's own
+    sum, bit for bit, then runs BN's backward, which builds its gradient in
     xhat's buffer, and then the conv's.
 
     Eval mode folds BN into the conv on every call, from the current
     buffers: weight w*gamma/sigma, bias (b - mean)*gamma/sigma + beta, so a
-    newly loaded state is never stale.  Its adjoint recomputes xhat from the
-    unfolded conv output and then runs the training backward with BN's
-    eval-mode gradient, so gradients stay exact under a tape.  ReLU runs in
-    place on the output; NaN stays NaN."""
+    newly loaded state is never stale.  Its adjoint keeps the output for
+    the mask, recomputes xhat from the unfolded conv output and then runs
+    the training backward with BN's eval-mode gradient, so gradients stay
+    exact under a tape.  ReLU runs in place on the output; NaN stays NaN."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[1], "conv_bn_relu")
     pad = (weight.data.shape[2] - 1) // 2
@@ -409,20 +410,29 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
         out, xhat, inv_std = _batchnorm_train(z, gamma.data, beta.data,
                                               running_mean, running_var)
     else:
-        xhat = None  # recomputed by the adjoint
         mu, inv_std = _running_stats(running_mean, running_var, x.data.dtype)
         scale = gamma.data * inv_std
         out = _correlate(x.data, weight.data * scale[:, None, None, None, None], pad)
         out += _col((bias.data - mu) * scale + beta.data)
+        kept = out  # the eval adjoint's mask; training keeps xhat instead
     np.maximum(out, np.zeros((), dtype=out.dtype), out=out)
 
     def vjp(g, needs):
-        # out > 0 selects the same entries as relu's input > 0, NaN included;
-        # the masked cotangent is freed, and xhat's buffer holds BN's input
-        # gradient, before the conv's backward runs
-        gz, g_gamma, g_beta = _batchnorm_adjoint(
-            g * (out > 0), _normalize(conv_out(), mu, inv_std) if xhat is None else xhat,
-            gamma.data, inv_std, training)
+        # `> 0` of relu's input or of its output selects the same entries,
+        # NaN included.  Training sums relu's input as the forward did, in a
+        # buffer that then takes the masked cotangent.  Before the conv's
+        # backward runs, the incoming cotangent is dropped (the tape holds
+        # no other reference), the masked one is freed, and xhat's buffer
+        # holds BN's input gradient
+        if training:
+            gz = np.multiply(xhat, _col(gamma.data), out=np.empty_like(xhat))
+            gz += _col(beta.data)
+            np.multiply(g, gz > 0, out=gz)
+            xh = xhat
+        else:
+            gz, xh = g * (kept > 0), _normalize(conv_out(), mu, inv_std)
+        del g
+        gz, g_gamma, g_beta = _batchnorm_adjoint(gz, xh, gamma.data, inv_std, training)
         return (*_conv3_vjp(x.data, weight.data, pad, gz, needs), g_gamma, g_beta)
 
     return op(out, (x, weight, bias, gamma, beta), vjp)
@@ -459,11 +469,13 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
     """`hard_shrink_array` as a layer: zero where |x| <= threshold, identity
     outside, so NaN passes through as it does in `relu`.
 
-    Gradient passes through kept coefficients and is zero elsewhere."""
+    Gradient passes through kept coefficients and is zero elsewhere; the
+    adjoint keeps that boolean mask, not the output."""
     x = as_tensor(x)
     out = hard_shrink_array(x.data, threshold)
     # threshold >= 0, so out != 0 selects exactly |x| > threshold, NaN included
-    return op(out, (x,), lambda g, needs: (g * (out != 0),))
+    kept = out != 0
+    return op(out, (x,), lambda g, needs: (g * kept,))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +490,8 @@ def first_max(stack: np.ndarray) -> np.ndarray:
     numpy's argmax over a leading axis makes one call per position; here
     `top` is one pairwise max, and each entry but the last adds 1 to the
     index wherever neither it nor an earlier entry is the maximum or NaN.
-    The count runs in the narrowest integer type that holds it."""
+    The count runs, and is returned, in the narrowest unsigned integer type
+    that holds it: uint8 for up to 256 entries."""
     top = stack.max(axis=0)
     idx = np.zeros(top.shape, dtype=np.min_scalar_type(len(stack) - 1))
     seen = np.zeros(top.shape, dtype=bool)
@@ -487,7 +500,7 @@ def first_max(stack: np.ndarray) -> np.ndarray:
         seen |= np.equal(entry, top, out=hit)
         seen |= np.isnan(entry, out=hit)
         idx += np.logical_not(seen, out=hit)
-    return idx.astype(np.intp)
+    return idx
 
 
 def _place(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -499,7 +512,8 @@ def _place(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def maxpool2_with_indices(x) -> tuple[Tensor, np.ndarray]:
     """2x2x2 max-pool with stride 2; indices are each block's lazy-wavelet
-    phase (0..7) of its first maximum, NaN counting as the maximum."""
+    phase (0..7) of its first maximum, NaN counting as the maximum, as
+    uint8."""
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "maxpool2")
@@ -578,14 +592,19 @@ def dwt_layer(x, bank: FilterBank) -> tuple[Tensor, Tensor]:
     (7*B, C, z, y, x).  One analysis gives both, recorded as two ops.
     Backward is the exact adjoint, synthesis with the decomposition filters
     (equal to the inverse for orthogonal banks): `low`'s with the low-pass
-    filter alone, `highs`' with the low band absent."""
+    filter alone, `highs`' with the low band absent.
+
+    `low` is a copy and `highs` a view of the analysis, and neither adjoint
+    keeps more than a shape, so the seven high subbands are freed once the
+    caller drops `highs` (in DIDn, once they are shrunk)."""
     x = as_tensor(x)
     _check_5d(x)
     _check_even_spatial(x, "dwt_layer")
     s = _forward3(x.data, (bank.lo_dec, bank.hi_dec))
-    low = op(s[0], (x,), lambda g, needs: (_inverse3((g,), (bank.lo_dec,)),))
+    sub_shape = s[1:].shape
+    low = op(s[0].copy(), (x,), lambda g, needs: (_inverse3((g,), (bank.lo_dec,)),))
     highs = op(s[1:].reshape((-1,) + s.shape[2:]), (x,), lambda g, needs: (_inverse3(
-        [None, *g.reshape(s[1:].shape)], (bank.lo_dec, bank.hi_dec)),))
+        [None, *g.reshape(sub_shape)], (bank.lo_dec, bank.hi_dec)),))
     return low, highs
 
 

@@ -103,10 +103,12 @@ class BatchNorm3(Layer):
 
 class ConvBNReLU(Layer):
     """The network body unit: convolution + batch norm + ReLU, run as one
-    recorded op (`F.conv_bn_relu`).  Training keeps only the input, the conv
-    output and the batch statistics for the backward; eval mode folds BN
-    into the conv weights and bias from the current buffers, and its
-    backward recomputes the unfolded conv output."""
+    recorded op (`F.conv_bn_relu`).  Training keeps only the input, BN's
+    normalized input xhat (in the conv output's buffer) and the batch
+    statistics for the backward, which recomputes the ReLU mask from them;
+    eval mode folds BN into the conv weights and bias from the current
+    buffers, keeps its output for the mask, and its backward recomputes the
+    unfolded conv output."""
 
     def __init__(self, c_in: int, c_out: int, rng=None, dtype=np.float32):
         self.conv = Conv3(c_in, c_out, rng=rng, dtype=dtype)

@@ -135,7 +135,7 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
             if located is exc:
                 raise
             raise located from exc
-        return origin, first_max(logits).astype(np.uint8), logits if retain_logits else None
+        return origin, first_max(logits), logits if retain_logits else None
 
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, cubes))

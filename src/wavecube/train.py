@@ -54,6 +54,11 @@ class TrainConfig:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
+# The estimator's and `wavecube train`'s defaults are TrainConfig's but
+# for this shorter schedule.
+SHORT_SCHEDULE = {"epochs": 10, "batch_size": 4}
+
+
 @dataclass
 class TrainState:
     iteration: int = 0

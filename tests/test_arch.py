@@ -1,6 +1,7 @@
 import inspect
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -369,6 +370,57 @@ def test_training_step_backward_frees_the_tape_as_it_walks(kind, wavelet, shape)
     held, peak, after, kept = _step_memory(kind, wavelet, shape)
     assert peak <= 1.75 * held, (peak, held)
     assert after <= kept + (1 << 18), (after, kept)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory `a` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _inputs_alive_after_forward(monkeypatch, kind, wavelet, shape, name):
+    """Run one training forward and loss of `kind` under a tape, with the
+    functional op `name` spied on, and return, per call of `name`, whether
+    the memory of its first input is still alive once the forward has
+    returned (the tape, logits and loss still held); then run the backward
+    and check that it delivers finite gradients."""
+    refs = []
+    fn = getattr(F, name)
+
+    def spy(x, *args):
+        refs.append(weakref.ref(_owner(x.data)))
+        return fn(x, *args)
+
+    monkeypatch.setattr(F, name, spy)
+    net = build(paper_spec(kind, wavelet), seed=3)
+    local = np.random.default_rng(4)
+    x = local.standard_normal(shape).astype(np.float32)
+    labels = local.integers(0, 2, (shape[0],) + shape[2:])
+    with GradientTape() as tape:
+        logits = net(x, training=True)
+        loss = weighted_cross_entropy(logits, labels, (1.0, 5.0))
+    alive = [ref() is not None for ref in refs]
+    backward(tape, loss, net.parameters())
+    assert all(np.isfinite(p.grad).all() for p in net.parameters())
+    return alive
+
+
+def test_pu_pool_inputs_die_with_the_forward(monkeypatch):
+    # the pool's vjp keeps only its indices, and the block-2 unit that feeds
+    # it recomputes its ReLU mask, so neither the tape nor an adjoint keeps
+    # the full-resolution block output
+    alive = _inputs_alive_after_forward(monkeypatch, "PU", None, (1, 1, 16, 32, 32),
+                                        "maxpool2_with_indices")
+    assert alive == [False] * 4
+
+
+def test_didn_unshrunk_highs_die_with_the_forward(monkeypatch):
+    # `low` is a copy of the analysis' lll band and the highs' vjp keeps a
+    # shape, so the seven unshrunk subbands go once they are shrunk
+    alive = _inputs_alive_after_forward(monkeypatch, "DIDn", "haar", (2, 1, 16, 32, 32),
+                                        "hard_shrink_layer")
+    assert alive == [False] * 4
 
 
 def test_network_wiring_names_no_structure():

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from wavecube import WaveUNetSegmenter
 from wavecube.arch import NetworkSpec, build, paper_spec
-from wavecube.cli import main
+from wavecube.cli import build_parser, main
 from wavecube.data import PhantomConfig, generate_phantom_dataset, read_volume, write_volume
 from wavecube.filters import SUBBAND_TAGS, builtin_bank
 from wavecube.nn import save_state
@@ -89,6 +92,18 @@ def test_describe_prints_layers(capsys):
 
 def test_describe_wavelet_required_for_wavelet_arch(capsys):
     assert main(["describe", "--arch", "DIDn"]) == 1
+
+
+def test_train_options_are_train_config_fields_with_the_estimator_defaults():
+    # every TrainConfig field but the loss's class weights and the LR decay's
+    # power is an option of `train`, typed and defaulted as the estimator's
+    args = vars(build_parser().parse_args(
+        ["train", "--arch", "PU", "--data", "cubes", "--out", "run"]))
+    names = {f.name for f in fields(TrainConfig)} - {"class_weights", "poly_power"}
+    assert set(args) == names | {"command", "func", "arch", "wavelet", "data", "out"}
+    for name in names:
+        default = WaveUNetSegmenter._DEFAULTS[name]
+        assert (type(args[name]), args[name]) == (type(default), default), name
 
 
 @pytest.mark.parametrize("argv", [

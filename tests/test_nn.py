@@ -1,5 +1,6 @@
 import inspect
 import re
+import sys
 import threading
 import weakref
 
@@ -155,7 +156,7 @@ def test_maxpool_indices_are_block_phases():
     x[0, 0, 0, 1, 11] = np.nan
     x[0, 0, 1, 0, 11] = np.nan
     pooled, idx = maxpool2_with_indices(Tensor(x))
-    assert idx.shape == (1, 1, 1, 1, 6) and idx.dtype == np.intp
+    assert idx.shape == (1, 1, 1, 1, 6) and idx.dtype == np.uint8
     np.testing.assert_array_equal(idx.ravel(), [4, 2, 1, 6, 0, 3])
     np.testing.assert_array_equal(pooled.data.ravel(), [1, 1, 1, 1, 0, np.nan])
     # unpooling writes each value at its block's phase and nowhere else
@@ -179,7 +180,7 @@ def test_first_max_equals_numpy_argmax(data, dtype, length):
     stack = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from(_SPECIALS)
                                  | st.floats(-2, 2, width=8 * np.dtype(dtype).itemsize)))
     idx = first_max(stack)
-    assert idx.dtype == np.intp
+    assert idx.dtype == np.uint8
     np.testing.assert_array_equal(idx, np.argmax(stack, axis=0))
 
 
@@ -684,6 +685,37 @@ def test_backward_consumes_the_tape_and_frees_what_it_no_longer_needs():
         backward(tape, loss)
 
 
+def test_backward_reaches_the_input_of_an_op_whose_output_was_deleted():
+    # the tape keeps the output's gradient slot, not the output: with the
+    # caller's reference gone, the output's data is freed, and the gradient
+    # still flows through the slot to the input
+    x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)), requires_grad=True)
+    with GradientTape() as tape:
+        hidden = op(3.0 * x.data, (x,), lambda g, needs: (3.0 * g,))
+        loss = ones_dot(hidden)
+    ref = weakref.ref(hidden.data)
+    del hidden
+    assert ref() is None
+    backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, np.full(x.shape, 3.0))
+
+
+def test_requires_grad_set_after_the_ops_that_read_a_tensor_keeps_its_grad():
+    # `requires_grad` lives in the slot that the tape walks, so marking a
+    # recorded tensor after its consumers ran, even after the tape closed,
+    # still keeps its gradient
+    x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)), requires_grad=True)
+    probe = rng.standard_normal((1, 1, 2, 2, 2))
+    with GradientTape() as tape:
+        y = relu(x)
+        loss = tensor_dot(y, probe)
+    assert y.grad is None and not y.requires_grad
+    y.requires_grad = True
+    backward(tape, loss)
+    np.testing.assert_array_equal(y.grad, probe)
+    np.testing.assert_array_equal(x.grad, probe * (x.data > 0))
+
+
 OPENBLAS = _blas.openblas()
 needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
 
@@ -919,6 +951,38 @@ def test_bn_vjps_leave_their_incoming_cotangent_unchanged(unit, training):
         loss = tensor_dot(out, probe)
     backward(tape, loss)
     np.testing.assert_array_equal(out.grad, probe)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller's frame keeps its call arguments")
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_frees_its_incoming_cotangent_before_the_conv_backward(
+        training, monkeypatch):
+    # the tape hands the cotangent over to the vjp, which drops it once it is
+    # masked, so it does not live through the conv's two adjoint halves
+    x0, p0, buffers, probe = cbr_case(37)
+    p = {k: Tensor(v, requires_grad=True) for k, v in p0.items()}
+    refs, seen = [], []
+
+    def fresh_cotangent(g, needs):
+        out = g * probe
+        refs.append(weakref.ref(out))
+        return (out,)
+
+    conv_vjp = functional._conv3_vjp
+
+    def spy(*args, **kw):
+        seen.append(refs[0]() is None)
+        return conv_vjp(*args, **kw)
+
+    monkeypatch.setattr(functional, "_conv3_vjp", spy)
+    with GradientTape() as tape:
+        out = conv_bn_relu(Tensor(x0), p["weight"], p["bias"], p["gamma"], p["beta"],
+                           *buffers, training)
+        loss = ones_dot(op(out.data * probe, (out,), fresh_cotangent))
+    backward(tape, loss)
+    assert seen == [True]
+    assert all(np.isfinite(t.grad).all() for t in p.values())
 
 
 def test_ops_and_loss_leave_gradient_plumbing_to_the_tape():

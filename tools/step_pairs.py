@@ -1,6 +1,6 @@
 """Time seeded training steps of two source trees in alternating pairs, in one
 process, and print each tree's median step time, minor page faults per
-step and the paired time ratio.
+step, tracemalloc peak of one step and the paired time ratio.
 
 Both trees build the same seeded network and batch and run the same
 training step, `digest_networks.Run`'s (the step that tool digests): a
@@ -17,8 +17,11 @@ separate runs cannot:
 The faults are the process's minor page faults (`resource.getrusage`)
 around each step, that is, fresh pages the step touched.  They depend on
 what the heap holds between steps: like `fit`'s loop, each tree keeps
-its last logits and loss until its next step.  The last line says
-whether both trees computed bitwise the same losses.
+its last logits and loss until its next step.  After the timed pairs
+each tree runs one more, untimed step under `tracemalloc`, whose peak
+(numpy's buffers included, what the heap held before the step not) is a
+per-step memory figure that repeats exactly from run to run.  The last
+line says whether both trees computed bitwise the same losses.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +80,15 @@ class TimedRun(Run):
         self.kept = logits, loss
         return seconds, faults, float(loss.data)
 
+    def traced_peak_mib(self) -> float:
+        """The tracemalloc peak, in MiB, of one more `timed_step`."""
+        tracemalloc.start()
+        try:
+            self.timed_step()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
 
 def quartiles(values) -> list[float]:
     return [float(q) for q in np.percentile(values, [25, 50, 75])]
@@ -107,7 +120,8 @@ def main(argv=None) -> int:
     report = {"arch": args.arch, "shape": args.shape, "pairs": PAIRS}
     for name, steps in runs.items():
         report[name] = {"step_s.p50": float(np.median([s for s, _, _ in steps])),
-                        "minor_faults.p50": float(np.median([f for _, f, _ in steps]))}
+                        "minor_faults.p50": float(np.median([f for _, f, _ in steps])),
+                        "traced_peak_mib": round(trees[name].traced_peak_mib(), 1)}
     ratios = [c[0] / p[0] for p, c in zip(runs["parent"], runs["change"])]
     report["time_ratio.q1_p50_q3"] = quartiles(ratios)
     report["change_faster_pairs"] = sum(r < 1.0 for r in ratios)
