@@ -13,6 +13,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_CUBE_SHAPE = (32, 128, 128)
 DEFAULT_MIN_FOREGROUND = 0.001
+_RETRY_FACTOR = 100
 
 
 @dataclass
@@ -37,12 +38,11 @@ def pad_to_multiple(volume: np.ndarray, cube_shape) -> np.ndarray:
 
 def cut_cubes(image: np.ndarray, labels: np.ndarray, cube_shape=DEFAULT_CUBE_SHAPE,
               count: int = 1, seed: int = 0,
-              min_foreground: float = DEFAULT_MIN_FOREGROUND,
-              retry_factor: int = 100) -> list[CubeRecord]:
+              min_foreground: float = DEFAULT_MIN_FOREGROUND) -> list[CubeRecord]:
     """Cut `count` seeded random cubes; labels are cut at identical origins.
 
     Cubes whose foreground fraction is below `min_foreground` are rejected
-    and redrawn, up to `count * retry_factor` attempts; on exhaustion the
+    and redrawn, up to `count * _RETRY_FACTOR` attempts; on exhaustion the
     achieved (shorter) list is returned and the shortfall is logged.
     """
     check_same_shape(image, labels, "image and labels")
@@ -56,7 +56,7 @@ def cut_cubes(image: np.ndarray, labels: np.ndarray, cube_shape=DEFAULT_CUBE_SHA
     rng = np.random.default_rng(seed)
     cube_voxels = cd * cm * cn
     records: list[CubeRecord] = []
-    budget = count * retry_factor
+    budget = count * _RETRY_FACTOR
     attempts = 0
     while len(records) < count and attempts < budget:
         attempts += 1

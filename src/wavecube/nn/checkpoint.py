@@ -8,11 +8,13 @@ Layout:
     concatenated blobs in manifest order
 
 Round trips are bit-exact: arrays are written as little-endian bytes and
-read back with the same dtype and shape.
+read back with the same dtype and shape.  A save writes `<path>.part`,
+then renames it onto `path`, so a failed or killed save leaves `path` whole.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +44,19 @@ def save_state(path, state: dict[str, np.ndarray], meta: dict[str, str] | None =
         shape = ",".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
         entries.append(f"{name} {_dtype_code(arr.dtype)} {shape} {len(raw)}\n")
         blobs.append(raw)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        for key, val in (meta or {}).items():
-            fh.write(f"#meta {key}={val}\n".encode())
-        fh.writelines(e.encode() for e in entries)
-        fh.write(b"---\n")
-        for raw in blobs:
-            fh.write(raw)
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "wb") as fh:
+            fh.write(_MAGIC)
+            for key, val in (meta or {}).items():
+                fh.write(f"#meta {key}={val}\n".encode())
+            fh.writelines(e.encode() for e in entries)
+            fh.write(b"---\n")
+            fh.writelines(blobs)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def load_state(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

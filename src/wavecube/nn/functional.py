@@ -57,53 +57,53 @@ _PHASES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 class _FlatGrid:
-    """The geometry of a (B, C, z, y, x) batch zero-padded by `pad` >= 0
-    voxels a side, with each sample's padded grid flattened into one row.
+    """The geometry of a (B, C, z, y, x) batch of shape `shape` for a
+    correlation with a k-cube: each extent e zero-padded by `pad` >= 0 in
+    front and to e + max(2*pad, k-1) in all, so that a correlation's grid
+    and its transpose's (padded by k-1-pad) share row and plane.  Each
+    sample's grid is flattened into one row, where a kernel offset (i, j, l)
+    is the shift i*plane + j*row + l; (k-1)*(row+1) trailing zeros keep
+    every shift in bounds, and output positions past the valid extents
+    e + 2*pad - k + 1 in y and x read padding and are cropped afterwards."""
 
-    A kernel offset (i, j, l) is then the flat shift i*plane + j*row + l.
-    The flat rows carry (k-1)*(row+1) trailing zeros so that every shift of
-    the whole grid stays in bounds; output positions past the valid extents
-    in y and x read padding and are cropped afterwards.
-    """
-
-    def __init__(self, a: np.ndarray, pad: int, k: int):
-        c = a.shape[1]
+    def __init__(self, shape, itemsize: int, pad: int, k: int):
         self.k, self.pad = k, pad
-        self.sp = tuple(e + 2 * pad for e in a.shape[2:])
+        self.sp = tuple(e + max(2 * pad, k - 1) for e in shape[2:])
         self.row = self.sp[2]
         self.plane = self.sp[1] * self.sp[2]
-        # the stride-1 valid correlation with a k-cube, and its flat length
-        # with the row padding included
-        self.out_sp = tuple(e - k + 1 for e in self.sp)
+        self.out_sp = tuple(e + 2 * pad - k + 1 for e in shape[2:])
         self.out_len = self.out_sp[0] * self.plane
-        rows = c * k * k
-        self.block = max(1, min(self.out_len, max(1024, _BLOCK_BYTES // (rows * a.itemsize))))
+        rows = shape[1] * k * k
+        self.block = max(1, min(self.out_len, max(1024, _BLOCK_BYTES // (rows * itemsize))))
 
-    def blocks(self, a: np.ndarray):
-        """Yield (sample, start, stop, cols) for each sample of `a` and each
-        block of at most `block` flat output positions.  `cols` is the
-        block's k*k (z, y) shifts, (C*k*k, stop - start + k - 1) with rows
-        ordered (c, i, j); its slice `cols[:, l:l + stop - start]` is the
-        input under kernel offsets (i, j, l).  One buffer is reused for every
-        block and filled by one copy; with k = 1 `cols` is the flat slice
-        itself.  The padded copy of `a` lives only while the blocks are
-        walked."""
-        k, pad, n = self.k, self.pad, self.out_len
+    def padded(self, a: np.ndarray) -> np.ndarray:
+        """`a` as (B, C, flat) rows of its zero-padded grid, trailing zeros
+        included; with k = 1 and no padding, a view of `a`."""
+        k, pad, size = self.k, self.pad, self.sp[0] * self.plane
         b, c = a.shape[:2]
-        size = self.sp[0] * self.plane
         if k == 1 and pad == 0:
-            flat = a.reshape(b, c, size)  # a view: no padding, no tail
-        else:
-            flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
-            grid = flat[:, :, :size].reshape((b, c) + self.sp)
-            grid[:, :, pad:self.sp[0] - pad, pad:self.sp[1] - pad, pad:self.sp[2] - pad] = a
-        buf = np.empty((c, k, k, self.block + k - 1), dtype=a.dtype) if k > 1 else None
+            return a.reshape(b, c, size)
+        flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
+        grid = flat[:, :, :size].reshape((b, c) + self.sp)
+        grid[(..., *(slice(pad, pad + e) for e in a.shape[2:]))] = a
+        return flat
+
+    def blocks(self, flat: np.ndarray):
+        """Yield (sample, start, stop, cols) for each sample of the padded
+        rows `flat` and each block of at most `block` flat output positions.
+        `cols` is the block's k*k (z, y) shifts, (C*k*k, stop - start + k - 1)
+        with rows ordered (c, i, j); its slice `cols[:, l:l + stop - start]`
+        is the input under kernel offsets (i, j, l).  One buffer is reused
+        for every block and filled by one copy; with k = 1 `cols` is the
+        flat slice itself."""
+        k, n, c = self.k, self.out_len, flat.shape[1]
+        buf = np.empty((c, k, k, self.block + k - 1), dtype=flat.dtype) if k > 1 else None
         for bi, src in enumerate(flat):
             if k > 1:
                 # shifts[:, i, j, p] = src[:, i*plane + j*row + p]: every (z, y)
                 # shift of the whole sample as one read-only view.  Its last
-                # element, (k-1)*(plane + row) + out_len + k - 2, is exactly the
-                # last element of `src`, which the (k-1)*(row+1) tail pads to.
+                # element, (k-1)*(plane + row) + out_len + k - 2, lies within
+                # `src`, which the (k-1)*(row+1) tail pads to.
                 item = src.itemsize
                 shifts = as_strided(src, (c, k, k, n + k - 1),
                                     (src.strides[0], self.plane * item, self.row * item, item),
@@ -122,13 +122,6 @@ class _FlatGrid:
         do, mo, no = self.out_sp
         grid = flat_out.reshape(flat_out.shape[:2] + (do,) + self.sp[1:])
         return np.ascontiguousarray(grid[..., :mo, :no])
-
-    def uncrop(self, g: np.ndarray) -> np.ndarray:
-        """Inverse of `crop`: (B, C) + out_sp -> (B, C, out_len), zero row padding."""
-        b, c, do, mo, no = g.shape
-        flat = np.zeros((b, c, do) + self.sp[1:], dtype=g.dtype)
-        flat[..., :mo, :no] = g
-        return flat.reshape(b, c, self.out_len)
 
 
 def _split(a: np.ndarray, pad: int) -> np.ndarray:
@@ -150,69 +143,70 @@ def _merge(p: np.ndarray, pad: int) -> np.ndarray:
 
 def _correlate(a: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
     """Correlation of (B, Ci, z, y, x) with (Co, Ci, k, k, k) after
-    zero-padding every spatial side by `pad`: per gathered block, k gemms
-    (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset slices, accumulated.
+    zero-padding every spatial side by `pad`.
 
     Stride 2 is the stride-1 correlation of the padded input's phases with
     the even-padded kernel's: tap 2s + d reads phase d at offset s."""
     if stride == 2:
         return _correlate(_split(a, pad), _split(w, 0), 0)
-    co, k = w.shape[0], w.shape[2]
-    grid = _FlatGrid(a, pad, k)
+    grid = _FlatGrid(a.shape, a.itemsize, pad, w.shape[2])
+    out = np.empty((a.shape[0], w.shape[0], grid.out_len), dtype=np.result_type(a, w))
+    return grid.crop(_correlate_rows(grid, grid.padded(a), w, out))
+
+
+def _correlate_rows(grid: _FlatGrid, flat: np.ndarray, w: np.ndarray, out: np.ndarray):
+    """Fill and return `out`, (B, Co, out_len) rows, with `grid`'s padded
+    rows `flat` correlated with `w`: per gathered block, k gemms
+    (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset slices, accumulated.
+    Callers crop `out` once `flat` is dropped; a forward allocates it before
+    `flat`, as the other order raised `segment_volume`'s peak RSS by 7 MB."""
+    co, k = w.shape[0], grid.k
     w_l = [np.ascontiguousarray(w[..., l]).reshape(co, -1) for l in range(k)]
-    out = np.empty((a.shape[0], co, grid.out_len), dtype=np.result_type(a, w))
     tmp = np.empty((co, grid.block), dtype=out.dtype)
-    for bi, start, stop, cols in grid.blocks(a):
+    for bi, start, stop, cols in grid.blocks(flat):
         m = stop - start
         dst = out[bi, :, start:stop]
         np.matmul(w_l[0], cols[:, :m], out=dst)
         for l in range(1, k):
             np.matmul(w_l[l], cols[:, l:l + m], out=tmp[:, :m])
             dst += tmp[:, :m]
-    return grid.crop(out)
+    return out
 
 
-def _correlate_t(g: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
-    """The transpose of `_correlate(., w, pad, stride)` applied to `g`: the
-    input gradient for the cotangent `g`, which is `_correlate` of `g` with
-    the flipped, (Co, Ci)-transposed kernel.  Stride 2 runs on the kernel's
-    phases and merges the phase gradients back."""
-    if stride == 2:
-        return _merge(_correlate_t(g, _split(w, 0), 0), pad)
+def _correlate_adjoint(a: np.ndarray | None, w: np.ndarray, pad: int, g: np.ndarray, needs,
+                       stride: int = 1):
+    """The gradients (ga, gw) of `_correlate(a, w, pad, stride)` for the
+    cotangent `g`, None where `needs[0]`, `needs[1]` is false (`a` is read
+    only for `gw`).  `g` is padded once, by k-1-pad, into the transpose's
+    grid.  The kernel gradient runs first, per gathered block of `a`: k
+    gemms with that copy read from flat offset (k-1-pad)*(plane + row + 1),
+    the row-padded cotangent of `a`'s grid.  The input gradient correlates
+    the copy with the flipped, (Co, Ci)-transposed kernel.  Stride 2 runs
+    on the phases of `a` and the kernel and merges both gradients back."""
     k = w.shape[2]
-    return _correlate(g, w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), k - 1 - pad)
-
-
-def _correlate_w(a: np.ndarray, g: np.ndarray, pad: int, k: int, stride: int = 1) -> np.ndarray:
-    """The (Co, Ci, k, k, k) kernel gradient of `_correlate(a, w, pad, stride)`
-    for the cotangent `g`: per gathered block of `a`, k gemms with the
-    row-padded cotangent, so nothing beyond `a` has to be kept from the
-    forward.  Stride 2 runs on `a`'s phases and merges the phase kernel's
-    gradient back."""
     if stride == 2:
-        gw = _correlate_w(_split(a, pad), g, 0, (k + 1) // 2)
-        return np.ascontiguousarray(_merge(gw, 0)[..., :k, :k, :k])
-    co, ci = g.shape[1], a.shape[1]
-    grid = _FlatGrid(a, pad, k)
-    gflat = grid.uncrop(g)
-    gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, a))
-    for bi, start, stop, cols in grid.blocks(a):
-        g_t = gflat[bi, :, start:stop].T
-        for l in range(k):
-            gw[l] += cols[:, l:l + stop - start] @ g_t
-    return np.ascontiguousarray(gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0))
-
-
-def _conv3_vjp(x: np.ndarray, w: np.ndarray, pad: int, g: np.ndarray, needs,
-               stride: int = 1):
-    """Gradients (gx, gw, gb) of `_correlate(x, w, pad, stride) + bias` for
-    the cotangent `g`, None where `needs` is false.  The kernel gradient
-    runs first, so its padded input is freed before the input gradient
-    builds its own."""
-    gb = g.sum(axis=_AXES) if needs[2] else None
-    gw = _correlate_w(x, g, pad, w.shape[2], stride) if needs[1] else None
-    gx = _correlate_t(g, w, pad, stride) if needs[0] else None
-    return gx, gw, gb
+        ga, gw = _correlate_adjoint(_split(a, pad) if needs[1] else None, _split(w, 0), 0,
+                                    g, needs)
+        return (None if ga is None else _merge(ga, pad),
+                None if gw is None else np.ascontiguousarray(_merge(gw, 0)[..., :k, :k, :k]))
+    t_grid = _FlatGrid(g.shape, g.itemsize, k - 1 - pad, k)
+    g_flat = t_grid.padded(g)
+    gw = None
+    if needs[1]:
+        co, ci = g.shape[1], a.shape[1]
+        grid = _FlatGrid(a.shape, a.itemsize, pad, k)
+        first = t_grid.pad * (grid.plane + grid.row + 1)
+        gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, a))
+        for bi, start, stop, cols in grid.blocks(grid.padded(a)):
+            for l in range(k):
+                gw[l] += cols[:, l:l + stop - start] @ g_flat[bi, :, first + start:first + stop].T
+        gw = np.ascontiguousarray(gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0))
+    if not needs[0]:
+        return None, gw
+    out = np.empty((g.shape[0], w.shape[1], t_grid.out_len), dtype=np.result_type(g, w))
+    _correlate_rows(t_grid, g_flat, w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), out)
+    del g_flat  # the padded cotangent dies before the crop allocates the gradient
+    return t_grid.crop(out), gw
 
 
 def _check_conv3_input(x: Tensor, ci: int, name: str) -> None:
@@ -228,7 +222,7 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     0..k-1.
 
     Stride 2 runs on the input's lazy-wavelet phases; the adjoint,
-    `_conv3_vjp`, keeps nothing beyond `x` and `weight`."""
+    `_correlate_adjoint`, keeps nothing beyond `x` and `weight`."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[1], "conv3")
     k = weight.data.shape[2]
@@ -244,8 +238,9 @@ def conv3(x, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
     out = _correlate(x.data, weight.data, padding, stride)
     if bias is not None:
         out += _col(bias.data)
-    return op(out, (x, weight, bias),
-              lambda g, needs: _conv3_vjp(x.data, weight.data, padding, g, needs, stride))
+    return op(out, (x, weight, bias), lambda g, needs: (
+        *_correlate_adjoint(x.data, weight.data, padding, g, needs, stride),
+        g.sum(axis=_AXES) if needs[2] else None))
 
 
 def sconv2(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -258,22 +253,19 @@ def deconv3(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     The exact transpose of `sconv2` on the same (Ci, Co, 2, 2, 2) weight,
     which `sconv2` reads as mapping Co channels to Ci: the forward is that
-    op's input gradient, `_correlate_t`; the input gradient is its forward;
-    the kernel gradient is `_correlate_w` with the cotangent as input and
-    `x` as cotangent."""
+    op's input gradient, and the kernel gradient its kernel gradient with
+    the cotangent as input and `x` as cotangent, both `_correlate_adjoint`;
+    the input gradient is its forward."""
     x = as_tensor(x)
     _check_conv3_input(x, weight.data.shape[0], "deconv3")
     w = weight.data
-    out = _correlate_t(x.data, w, 0, 2)
+    out = _correlate_adjoint(None, w, 0, x.data, (True, False), 2)[0]
     if bias is not None:
         out += _col(bias.data)
-
-    def vjp(g, needs):
-        return (_correlate(g, w, 0, 2) if needs[0] else None,
-                _correlate_w(g, x.data, 0, 2, 2) if needs[1] else None,
-                g.sum(axis=_AXES) if needs[2] else None)
-
-    return op(out, (x, weight, bias), vjp)
+    return op(out, (x, weight, bias), lambda g, needs: (
+        _correlate(g, w, 0, 2) if needs[0] else None,
+        _correlate_adjoint(g, w, 0, x.data, (False, needs[1]), 2)[1],
+        g.sum(axis=_AXES) if needs[2] else None))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +425,8 @@ def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
             gz, xh = g * (kept > 0), _normalize(conv_out(), mu, inv_std)
         del g
         gz, g_gamma, g_beta = _batchnorm_adjoint(gz, xh, gamma.data, inv_std, training)
-        return (*_conv3_vjp(x.data, weight.data, pad, gz, needs), g_gamma, g_beta)
+        return (*_correlate_adjoint(x.data, weight.data, pad, gz, needs),
+                gz.sum(axis=_AXES) if needs[2] else None, g_gamma, g_beta)
 
     return op(out, (x, weight, bias, gamma, beta), vjp)
 

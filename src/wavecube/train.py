@@ -84,10 +84,10 @@ def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    softmax = ez / ez.sum(axis=1, keepdims=True)
+    ez_sum = ez.sum(axis=1, keepdims=True)
+    softmax = ez / ez_sum
     labels_e = labels[:, None]
-    logp_y = np.take_along_axis(
-        z - np.log(ez.sum(axis=1, keepdims=True)), labels_e, axis=1)[:, 0]
+    logp_y = np.take_along_axis(z - np.log(ez_sum), labels_e, axis=1)[:, 0]
     w_vox = w[labels]
     total_w = w_vox.sum()
     loss_val = -(w_vox * logp_y).sum() / total_w

@@ -201,8 +201,7 @@ def test_cut_exhaustion_returns_empty(caplog):
     img = np.zeros((8, 16, 16), dtype=np.float32)
     lbl = np.zeros((8, 16, 16), dtype=np.uint8)
     with caplog.at_level(logging.WARNING):
-        records = cut_cubes(img, lbl, (8, 16, 16), count=3, seed=0,
-                            min_foreground=1.0, retry_factor=10)
+        records = cut_cubes(img, lbl, (8, 16, 16), count=3, seed=0, min_foreground=1.0)
     assert records == []
     assert any("achieved 0 of 3" in rec.getMessage() for rec in caplog.records)
 

@@ -1,4 +1,6 @@
+import errno
 import inspect
+import io
 import re
 import sys
 import threading
@@ -316,7 +318,8 @@ def conv3_reference(x, w, b, stride, padding):
                                              (2, 2, 4, 1), (2, 3, 2, 1)])
 def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
     local = np.random.default_rng(100 * ci + 10 * co + stride)
-    x = Tensor(local.standard_normal((2, ci, 4, 6, 8)), dtype=np.float64)
+    x0 = local.standard_normal((2, ci, 4, 6, 8))
+    x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
     w0 = local.standard_normal((co, ci, k, k, k))
     b0 = local.standard_normal(co)
 
@@ -335,6 +338,10 @@ def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
         loss = tensor_dot(conv3(x, w, b, stride=stride, padding=padding), probe)
     backward(tape, loss)
 
+    def scalar_x(arr):
+        return float(tensor_dot(conv3(Tensor(arr), w, b, stride=stride,
+                                      padding=padding), probe).data)
+
     def scalar_w(arr):
         return float(tensor_dot(conv3(x, Tensor(arr), b, stride=stride,
                                       padding=padding), probe).data)
@@ -343,7 +350,7 @@ def test_conv3_parameter_gradients_and_forward(ci, co, k, padding, stride):
         return float(tensor_dot(conv3(x, w, Tensor(arr), stride=stride,
                                       padding=padding), probe).data)
 
-    for param, scalar, p0 in ((w, scalar_w, w0), (b, scalar_b, b0)):
+    for param, scalar, p0 in ((x, scalar_x, x0), (w, scalar_w, w0), (b, scalar_b, b0)):
         assert param.grad.shape == p0.shape
         fd = numeric_grad(scalar, p0, list(np.ndindex(*p0.shape)))
         for idx, expect in fd.items():
@@ -969,13 +976,13 @@ def test_conv_bn_relu_frees_its_incoming_cotangent_before_the_conv_backward(
         refs.append(weakref.ref(out))
         return (out,)
 
-    conv_vjp = functional._conv3_vjp
+    conv_vjp = functional._correlate_adjoint
 
     def spy(*args, **kw):
         seen.append(refs[0]() is None)
         return conv_vjp(*args, **kw)
 
-    monkeypatch.setattr(functional, "_conv3_vjp", spy)
+    monkeypatch.setattr(functional, "_correlate_adjoint", spy)
     with GradientTape() as tape:
         out = conv_bn_relu(Tensor(x0), p["weight"], p["bias"], p["gamma"], p["beta"],
                            *buffers, training)
@@ -1040,3 +1047,26 @@ def test_checkpoint_truncated(tmp_path):
     from wavecube.errors import TruncatedPayloadError
     with pytest.raises(TruncatedPayloadError):
         load_state(path)
+
+
+def test_checkpoint_save_that_fails_mid_blob_keeps_the_previous_file(tmp_path, monkeypatch):
+    # the disk fills while the new blob is written: the checkpoint already
+    # on disk stays byte for byte, and no temporary file is left beside it
+    from wavecube.nn import checkpoint
+    path = tmp_path / "net.ckpt"
+    save_state(path, {"w": np.ones(8, dtype=np.float32)}, {"epoch": "1"})
+    before = path.read_bytes()
+    new = np.full(8, 2.0, dtype=np.float32)
+
+    class DiskFull(io.BufferedWriter):
+        def write(self, data):
+            if bytes(data) == new.tobytes():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda file, mode: DiskFull(io.FileIO(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_state(path, {"w": new}, {"epoch": "2"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
