@@ -6,8 +6,10 @@ up-sampler and branch payload (Table I).
 Each level runs two conv-BN-ReLU blocks before down-sampling (encoder) and
 after up-sampling (decoder); a two-block bottom sits at 1/2^levels
 resolution; a 1x1x1 convolution maps the last decoder output to class
-logits.  Each block is one recorded op (`ConvBNReLU`, `F.conv_bn_relu`)
-that folds BN into the conv in eval mode.
+logits.  Each block is a `ConvBNReLU` unit, and a level's two blocks run
+as one recorded op (`F.conv_bn_relu` on a chain of two units), whose
+backward rebuilds block 1's output from what BN kept instead of keeping it
+and which folds BN into the convs in eval mode.
 """
 
 from __future__ import annotations
@@ -269,9 +271,8 @@ class Network:
         return self.head.forward(h)
 
     def _blocks(self, name: str, h, training: bool) -> Tensor:
-        for block in ("block1", "block2"):
-            h = self._modules[f"{name}.{block}"].forward(h, training)
-        return h
+        return F.conv_bn_relu(h, [self._modules[f"{name}.{block}"].unit()
+                                  for block in ("block1", "block2")], training)
 
     def __call__(self, x, training: bool = False) -> Tensor:
         return self.forward(x, training)

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 from ..errors import ChannelMismatchError, OddExtentError, ShapeMismatchError
 from ..filters import FilterBank
 from ..transform import _forward3, _inverse3, hard_shrink_array
-from .autograd import Tensor, as_tensor, op
+from .autograd import Tensor, active_tape, as_tensor, op
 
 
 _AXES = (0, 2, 3, 4)  # every axis but channels
@@ -370,65 +370,109 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
               lambda g, needs: _batchnorm_adjoint(g, xhat, gamma.data, inv_std, training))
 
 
-def conv_bn_relu(x, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
-                 running_mean: np.ndarray, running_var: np.ndarray, training: bool) -> Tensor:
-    """relu(batchnorm(conv3(x, weight, bias), ...)) as one recorded op, with
-    the values, gradients and running-buffer update of that chain.
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma*xhat + beta per channel, in a new array, by `_batchnorm_train`'s
+    own two calls, so its bits are that forward's."""
+    out = np.multiply(xhat, _col(gamma), out=np.empty_like(xhat))
+    out += _col(beta)
+    return out
 
-    Train mode normalizes with batch statistics in the conv output's own
-    buffer, so the adjoint keeps `x`, BN's normalized input xhat (not the
-    conv output) and the per-channel statistics, but not the output: it
-    recomputes the ReLU mask from gamma*xhat + beta > 0, the forward's own
-    sum, bit for bit, then runs BN's backward, which builds its gradient in
-    xhat's buffer, and then the conv's.
 
-    Eval mode folds BN into the conv on every call, from the current
+def _relu_(a: np.ndarray) -> np.ndarray:
+    """max(a, 0) in `a`'s own buffer; NaN stays NaN."""
+    return np.maximum(a, np.zeros((), dtype=a.dtype), out=a)
+
+
+def conv_bn_relu(x, units, training: bool) -> Tensor:
+    """A chain of conv3 -> batchnorm -> relu units as one recorded op, with
+    the values, gradients and running-buffer updates of those ops chained.
+    Each unit is (weight, bias, gamma, beta, running_mean, running_var): a
+    "same" cubic convolution, BN's parameters and its running buffers.
+
+    Train mode normalizes with batch statistics in each conv output's own
+    buffer, and the op keeps the chain's input and each unit's xhat and
+    inv_std, nothing else.  The backward walks the units in reverse.  It
+    masks the last unit's cotangent with gamma*xhat + beta > 0, the
+    forward's own sum, bit for bit.  For every other unit it rebuilds the
+    unit's output, relu(gamma*xhat + beta), by the forward's own calls: the
+    next unit's kernel gradient reads it, and then it takes that unit's
+    masked cotangent (relu's output is > 0 where its input is, NaN
+    included).  BN's backward builds its gradient in xhat's buffer, and
+    each incoming cotangent is dropped before the conv's backward runs.
+
+    Eval mode folds BN into each conv on every call, from the current
     buffers: weight w*gamma/sigma, bias (b - mean)*gamma/sigma + beta, so a
-    newly loaded state is never stale.  Its adjoint keeps the output for
-    the mask, recomputes xhat from the unfolded conv output and then runs
-    the training backward with BN's eval-mode gradient, so gradients stay
-    exact under a tape.  ReLU runs in place on the output; NaN stays NaN."""
+    newly loaded state is never stale.  Its adjoint keeps each unit's
+    output, for the mask and as the next unit's input, recomputes xhat from
+    the unfolded conv output and then runs the training backward with BN's
+    eval-mode gradient, so gradients stay exact under a tape.  ReLU runs in
+    place on each output; NaN stays NaN."""
     x = as_tensor(x)
-    _check_conv3_input(x, weight.data.shape[1], "conv_bn_relu")
-    pad = (weight.data.shape[2] - 1) // 2
+    units = [tuple(unit) for unit in units]
+    if not units:
+        raise ValueError("conv_bn_relu needs at least one unit")
+    _check_5d(x)
+    channels = x.data.shape[1]
+    for weight, *_ in units:
+        if weight.data.shape[1] != channels:
+            raise ChannelMismatchError(
+                f"conv_bn_relu expected {weight.data.shape[1]} input channels, got {channels}")
+        channels = weight.data.shape[0]
+    pads = [(unit[0].data.shape[2] - 1) // 2 for unit in units]
 
-    def conv_out():
-        z = _correlate(x.data, weight.data, pad)
+    def conv_out(a, weight, bias, pad):
+        z = _correlate(a, weight.data, pad)
         z += _col(bias.data)
         return z
 
-    if training:
-        z = conv_out()
-        out, xhat, inv_std = _batchnorm_train(z, gamma.data, beta.data,
-                                              running_mean, running_var)
-    else:
-        mu, inv_std = _running_stats(running_mean, running_var, x.data.dtype)
-        scale = gamma.data * inv_std
-        out = _correlate(x.data, weight.data * scale[:, None, None, None, None], pad)
-        out += _col((bias.data - mu) * scale + beta.data)
-        kept = out  # the eval adjoint's mask; training keeps xhat instead
-    np.maximum(out, np.zeros((), dtype=out.dtype), out=out)
+    a, saved = x.data, []
+    for (weight, bias, gamma, beta, running_mean, running_var), pad in zip(units, pads):
+        if training:
+            a, xhat, inv_std = _batchnorm_train(conv_out(a, weight, bias, pad), gamma.data,
+                                                beta.data, running_mean, running_var)
+            saved.append((xhat, inv_std))
+        else:
+            mu, inv_std = _running_stats(running_mean, running_var, a.dtype)
+            scale = gamma.data * inv_std
+            a = _correlate(a, weight.data * scale[:, None, None, None, None], pad)
+            a += _col((bias.data - mu) * scale + beta.data)
+            saved.append((a, mu, inv_std))
+        _relu_(a)
+    last = len(units) - 1
 
     def vjp(g, needs):
-        # `> 0` of relu's input or of its output selects the same entries,
-        # NaN included.  Training sums relu's input as the forward did, in a
-        # buffer that then takes the masked cotangent.  Before the conv's
-        # backward runs, the incoming cotangent is dropped (the tape holds
-        # no other reference), the masked one is freed, and xhat's buffer
-        # holds BN's input gradient
-        if training:
-            gz = np.multiply(xhat, _col(gamma.data), out=np.empty_like(xhat))
-            gz += _col(beta.data)
-            np.multiply(g, gz > 0, out=gz)
-            xh = xhat
-        else:
-            gz, xh = g * (kept > 0), _normalize(conv_out(), mu, inv_std)
-        del g
-        gz, g_gamma, g_beta = _batchnorm_adjoint(gz, xh, gamma.data, inv_std, training)
-        return (*_correlate_adjoint(x.data, weight.data, pad, gz, needs),
-                gz.sum(axis=_AXES) if needs[2] else None, g_gamma, g_beta)
+        # each unit's saved arrays, and its gradient buffers, go once its
+        # backward has read them, before the unit below it runs
+        grads = [None] * len(needs)
+        for i in reversed(range(len(units))):
+            weight, bias, gamma, beta = units[i][:4]
+            if training:
+                xhat, inv_std = saved.pop()
+                # `a`, unit i+1's input, is unit i's rebuilt output
+                gz = _affine(xhat, gamma.data, beta.data) if i == last else a
+                np.multiply(g, gz > 0, out=gz)
+                del g
+                a = x.data if i == 0 else _relu_(_affine(saved[-1][0], units[i - 1][2].data,
+                                                         units[i - 1][3].data))
+            else:
+                out, mu, inv_std = saved.pop()
+                gz = g * (out > 0)
+                del g, out
+                a = x.data if i == 0 else saved[-1][0]
+                xhat = _normalize(conv_out(a, weight, bias, pads[i]), mu, inv_std)
+            gz, g_gamma, g_beta = _batchnorm_adjoint(gz, xhat, gamma.data, inv_std, training)
+            del xhat
+            k = 1 + 4 * i  # unit i's weight among the op's inputs
+            g, grads[k] = _correlate_adjoint(a, weight.data, pads[i], gz,
+                                             (any(needs[:k]), needs[k]))
+            grads[k + 1:k + 4] = gz.sum(axis=_AXES) if needs[k + 1] else None, g_gamma, g_beta
+            del gz
+            if g is None:  # no earlier unit or input wants a gradient
+                break
+        grads[0] = g
+        return grads
 
-    return op(out, (x, weight, bias, gamma, beta), vjp)
+    return op(a, (x, *(t for unit in units for t in unit[:4])), vjp)
 
 
 def relu(x) -> Tensor:
@@ -463,11 +507,12 @@ def hard_shrink_layer(x, threshold: float) -> Tensor:
     outside, so NaN passes through as it does in `relu`.
 
     Gradient passes through kept coefficients and is zero elsewhere; the
-    adjoint keeps that boolean mask, not the output."""
+    adjoint keeps that boolean mask, not the output, and the mask is built
+    only when a tape records the op."""
     x = as_tensor(x)
     out = hard_shrink_array(x.data, threshold)
     # threshold >= 0, so out != 0 selects exactly |x| > threshold, NaN included
-    kept = out != 0
+    kept = out != 0 if active_tape() is not None else None
     return op(out, (x,), lambda g, needs: (g * kept,))
 
 

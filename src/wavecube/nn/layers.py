@@ -102,22 +102,25 @@ class BatchNorm3(Layer):
 
 
 class ConvBNReLU(Layer):
-    """The network body unit: convolution + batch norm + ReLU, run as one
-    recorded op (`F.conv_bn_relu`).  Training keeps only the input, BN's
-    normalized input xhat (in the conv output's buffer) and the batch
-    statistics for the backward, which recomputes the ReLU mask from them;
-    eval mode folds BN into the conv weights and bias from the current
-    buffers, keeps its output for the mask, and its backward recomputes the
-    unfolded conv output."""
+    """The network body unit: convolution + batch norm + ReLU, one unit of
+    `F.conv_bn_relu`'s chain, which says what training and eval keep for
+    the backward.  `forward` runs it as a chain of one; the networks chain
+    a level's two units into one recorded op, whose backward rebuilds the
+    first unit's output from its BN-normalized input instead of keeping
+    it."""
 
     def __init__(self, c_in: int, c_out: int, rng=None, dtype=np.float32):
         self.conv = Conv3(c_in, c_out, rng=rng, dtype=dtype)
         self.bn = BatchNorm3(c_out, dtype=dtype)
 
-    def forward(self, x, training: bool):
+    def unit(self) -> tuple:
+        """(weight, bias, gamma, beta, running_mean, running_var), one
+        `F.conv_bn_relu` unit."""
         conv, bn = self.conv, self.bn
-        return F.conv_bn_relu(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean,
-                              bn.running_var, training)
+        return conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean, bn.running_var
+
+    def forward(self, x, training: bool):
+        return F.conv_bn_relu(x, [self.unit()], training)
 
     def describe(self) -> str:
         return f"{self.conv.describe()} + BN + ReLU"

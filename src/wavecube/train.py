@@ -86,16 +86,26 @@ def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
     ez = np.exp(z)
     ez_sum = ez.sum(axis=1, keepdims=True)
     softmax = ez / ez_sum
-    labels_e = labels[:, None]
-    logp_y = np.take_along_axis(z - np.log(ez_sum), labels_e, axis=1)[:, 0]
+    del ez  # each full-size temporary goes once read: the loss is a step's peak
+    logp = z - np.log(ez_sum)
+    del z
+    # one pass per class picks each voxel's log-probability and, in the
+    # backward, subtracts its one-hot label, with no gather or scatter
+    logp_y = np.empty(labels.shape, dtype=logp.dtype)
+    for c in range(n_classes):
+        np.copyto(logp_y, logp[:, c], where=labels == c)
+    del logp
     w_vox = w[labels]
     total_w = w_vox.sum()
     loss_val = -(w_vox * logp_y).sum() / total_w
 
     def vjp(g, needs):
-        onehot = np.zeros_like(softmax)
-        np.put_along_axis(onehot, labels_e, 1.0, axis=1)
-        return ((softmax - onehot) * (w_vox / total_w)[:, None] * g,)
+        d = np.empty_like(softmax)
+        for c in range(n_classes):
+            np.subtract(softmax[:, c], labels == c, out=d[:, c])
+        d *= (w_vox / total_w)[:, None]
+        d *= g
+        return (d,)
 
     return op(np.asarray(loss_val, dtype=logits.data.dtype), (logits,), vjp)
 

@@ -302,19 +302,19 @@ def test_conv_bn_relu_unit_records_once():
 
 
 @pytest.mark.parametrize("kind,wavelet,shape,records", [
-    ("DIDn", "haar", (4, 1, 16, 64, 64), 36),
-    ("PU", None, (1, 1, 16, 32, 32), 28),
-    ("ScIn", None, (1, 1, 16, 32, 32), 32),
-    ("DIn", "haar", (1, 1, 16, 32, 32), 32),
-    ("PDc", None, (1, 1, 16, 32, 32), 32),
-    ("DDc", "haar", (1, 1, 16, 32, 32), 32),
-    ("DI", "haar", (1, 1, 16, 32, 32), 32),
-    ("DIDn", "haar", (1, 1, 16, 32, 32), 36),
+    ("DIDn", "haar", (4, 1, 16, 64, 64), 27),
+    ("PU", None, (1, 1, 16, 32, 32), 19),
+    ("ScIn", None, (1, 1, 16, 32, 32), 23),
+    ("DIn", "haar", (1, 1, 16, 32, 32), 23),
+    ("PDc", None, (1, 1, 16, 32, 32), 23),
+    ("DDc", "haar", (1, 1, 16, 32, 32), 23),
+    ("DI", "haar", (1, 1, 16, 32, 32), 23),
+    ("DIDn", "haar", (1, 1, 16, 32, 32), 27),
 ])
 def test_tape_records_per_training_step(kind, wavelet, shape, records):
-    # 18 conv-BN-ReLU units record once each; the rest is resampling, the
-    # head and the loss, with each `dwt_layer` recording `low` and `highs`
-    # apart
+    # each of the 9 levels (4 encoder, the bottom, 4 decoder) records its
+    # two conv-BN-ReLU units as one op; the rest is resampling, the head
+    # and the loss, with each `dwt_layer` recording `low` and `highs` apart
     net = build(paper_spec(kind, wavelet), seed=3)
     local = np.random.default_rng(4)
     x = local.standard_normal(shape).astype(np.float32)
@@ -413,6 +413,32 @@ def test_pu_pool_inputs_die_with_the_forward(monkeypatch):
     alive = _inputs_alive_after_forward(monkeypatch, "PU", None, (1, 1, 16, 32, 32),
                                         "maxpool2_with_indices")
     assert alive == [False] * 4
+
+
+def test_block1_outputs_die_with_the_forward(monkeypatch):
+    # a level's op keeps block 1's xhat, from which its backward rebuilds
+    # block 1's output, so neither the tape nor an adjoint keeps that output;
+    # of the block-2 outputs only the last, the head conv's input, stays
+    refs = []
+    bn_train = F._batchnorm_train
+
+    def spy(*args):
+        out = bn_train(*args)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(F, "_batchnorm_train", spy)
+    net = build(paper_spec("PU"), seed=3)
+    local = np.random.default_rng(4)
+    x = local.standard_normal((1, 1, 16, 32, 32)).astype(np.float32)
+    labels = local.integers(0, 2, (1, 16, 32, 32))
+    with GradientTape() as tape:
+        logits = net(x, training=True)
+        loss = weighted_cross_entropy(logits, labels, (1.0, 5.0))
+    alive = [ref() is not None for ref in refs]
+    assert alive == [False] * 17 + [True]
+    backward(tape, loss, net.parameters())
+    assert all(np.isfinite(p.grad).all() for p in net.parameters())
 
 
 def test_didn_unshrunk_highs_die_with_the_forward(monkeypatch):

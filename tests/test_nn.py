@@ -435,10 +435,15 @@ def cbr_case(seed, dtype=np.float64):
     return x, params, buffers, probe
 
 
+def cbr_unit(p, buffers):
+    """One `conv_bn_relu` unit from a parameter dict and its BN buffers."""
+    return (*(p[k] for k in CBR_PARAMS), *buffers)
+
+
 def cbr_forward(fused, x, p, buffers, training):
     """The fused op, or the conv3 -> batchnorm -> relu chain it replaces."""
     if fused:
-        return conv_bn_relu(x, p["weight"], p["bias"], p["gamma"], p["beta"], *buffers, training)
+        return conv_bn_relu(x, [cbr_unit(p, buffers)], training)
     return relu(batchnorm(conv3(x, p["weight"], p["bias"]), p["gamma"], p["beta"],
                           *buffers, training))
 
@@ -544,6 +549,103 @@ def test_conv_bn_relu_keeps_nan(training):
     want = cbr_forward(False, Tensor(x0), p, tuple(b.copy() for b in buffers), training).data
     assert np.isnan(got[1, :, 1, 3, 4]).all()
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+
+
+def chain_case(seed, dtype=np.float64):
+    """Input, two units' parameters and BN buffers (3 -> 4 -> 4) and a
+    cotangent probe."""
+    x, p1, buffers1, probe = cbr_case(seed, dtype)
+    local = np.random.default_rng(seed + 100)
+    p2 = {"weight": 0.3 * local.standard_normal((4, 4, 3, 3, 3)),
+          "bias": local.standard_normal(4),
+          "gamma": local.uniform(0.5, 1.5, 4),
+          "beta": local.normal(0.0, 0.5, 4)}
+    p2 = {k: v.astype(dtype) for k, v in p2.items()}
+    buffers2 = (local.normal(0.0, 0.1, 4).astype(dtype), local.uniform(0.5, 1.5, 4).astype(dtype))
+    return x, [p1, p2], [buffers1, buffers2], probe
+
+
+def chain_run(chained, training, case):
+    """The two units as one chain or as two chained one-unit calls, under a
+    tape: [output, x's gradient, both units' parameter gradients, both
+    units' buffers]."""
+    x0, ps0, buffers0, probe = case
+    x = Tensor(x0.copy(), requires_grad=True)
+    ps = [{k: Tensor(v.copy(), requires_grad=True) for k, v in p.items()} for p in ps0]
+    buffers = [tuple(b.copy() for b in pair) for pair in buffers0]
+    units = [cbr_unit(p, b) for p, b in zip(ps, buffers)]
+    with GradientTape() as tape:
+        if chained:
+            out = conv_bn_relu(x, units, training)
+        else:
+            out = conv_bn_relu(conv_bn_relu(x, units[:1], training), units[1:], training)
+        assert len(tape) == (1 if chained else 2)
+        loss = tensor_dot(out, probe)
+    backward(tape, loss)
+    return ([out.data, x.grad] + [p[k].grad for p in ps for k in CBR_PARAMS]
+            + [b for pair in buffers for b in pair])
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_chain_is_bitwise_two_chained_units(training, nan):
+    # the chain rebuilds unit 1's output from its xhat (training) or keeps
+    # it (eval); output, the nine gradients and both units' buffers carry
+    # the same bits as two one-unit ops, NaN included
+    case = chain_case(38, np.float32)
+    if nan:
+        case[0][1, 2, 1, 3, 4] = np.nan
+    got, want = chain_run(True, training, case), chain_run(False, training, case)
+    assert len(got) == len(want) == 1 + 1 + 8 + 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert np.isnan(got[0]).any() == nan
+    if not nan:
+        assert (got[0] == 0).any() and (got[0] > 0).any()
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_bn_relu_chain_gradients_match_finite_differences(training):
+    x0, ps0, buffers0, probe = case = chain_case(39)
+    grads = chain_run(True, training, case)[1:10]
+
+    def loss(x, ps):
+        units = [cbr_unit({k: Tensor(v) for k, v in p.items()}, tuple(b.copy() for b in pair))
+                 for p, pair in zip(ps, buffers0)]
+        return float(tensor_dot(conv_bn_relu(Tensor(x), units, training), probe).data)
+
+    local = np.random.default_rng(40)
+
+    def some(shape, n=10):
+        return [tuple(local.integers(0, s) for s in shape) for _ in range(n)]
+
+    checks = [(grads[0], numeric_grad(lambda a: loss(a, ps0), x0, some(x0.shape)))]
+    for u in range(2):
+        for j, name in enumerate(CBR_PARAMS):
+            arr = ps0[u][name]
+
+            def vary(a, u=u, name=name):
+                ps = [dict(p) for p in ps0]
+                ps[u][name] = a
+                return loss(x0, ps)
+
+            idxs = some(arr.shape) if arr.ndim > 1 else list(np.ndindex(*arr.shape))
+            checks.append((grads[1 + 4 * u + j], numeric_grad(vary, arr, idxs)))
+    for grad, fd in checks:
+        for idx, expect in fd.items():
+            assert abs(grad[idx] - expect) <= 1e-6 * max(abs(expect), 1.0), (idx, grad[idx], expect)
+
+
+def test_conv_bn_relu_chain_rejects_mismatched_units():
+    x0, ps, buffers, _ = chain_case(41)
+    units = [cbr_unit({k: Tensor(v) for k, v in p.items()}, pair) for p, pair in zip(ps, buffers)]
+    with pytest.raises(ChannelMismatchError, match="expected 4 input channels, got 3"):
+        conv_bn_relu(Tensor(x0), units[1:], True)
+    with pytest.raises(ChannelMismatchError, match="expected 3 input channels, got 4"):
+        conv_bn_relu(Tensor(x0), [units[0], units[0]], True)
+    with pytest.raises(ValueError, match="at least one unit"):
+        conv_bn_relu(Tensor(x0), [], True)
 
 
 def test_dwt_layer_low_gradient_is_constant_for_sum_loss():
@@ -949,8 +1051,7 @@ def test_bn_vjps_leave_their_incoming_cotangent_unchanged(unit, training):
     x = Tensor(x0, requires_grad=True)
     with GradientTape() as tape:
         if unit == "conv_bn_relu":
-            out = conv_bn_relu(x, p["weight"], p["bias"], p["gamma"], p["beta"], *buffers,
-                               training)
+            out = conv_bn_relu(x, [cbr_unit(p, buffers)], training)
         else:
             out = batchnorm(conv3(x, p["weight"], p["bias"]), p["gamma"], p["beta"], *buffers,
                             training)
@@ -966,9 +1067,10 @@ def test_bn_vjps_leave_their_incoming_cotangent_unchanged(unit, training):
 def test_conv_bn_relu_frees_its_incoming_cotangent_before_the_conv_backward(
         training, monkeypatch):
     # the tape hands the cotangent over to the vjp, which drops it once it is
-    # masked, so it does not live through the conv's two adjoint halves
-    x0, p0, buffers, probe = cbr_case(37)
-    p = {k: Tensor(v, requires_grad=True) for k, v in p0.items()}
+    # masked, so it does not live through the conv's two adjoint halves; nor
+    # does the input gradient of unit 2's conv, the cotangent of unit 1
+    x0, ps0, buffers, probe = chain_case(37)
+    ps = [{k: Tensor(v, requires_grad=True) for k, v in p.items()} for p in ps0]
     refs, seen = [], []
 
     def fresh_cotangent(g, needs):
@@ -979,17 +1081,19 @@ def test_conv_bn_relu_frees_its_incoming_cotangent_before_the_conv_backward(
     conv_vjp = functional._correlate_adjoint
 
     def spy(*args, **kw):
-        seen.append(refs[0]() is None)
-        return conv_vjp(*args, **kw)
+        seen.append(all(ref() is None for ref in refs))
+        ga, gw = conv_vjp(*args, **kw)
+        if ga is not None:
+            refs.append(weakref.ref(ga))
+        return ga, gw
 
     monkeypatch.setattr(functional, "_correlate_adjoint", spy)
     with GradientTape() as tape:
-        out = conv_bn_relu(Tensor(x0), p["weight"], p["bias"], p["gamma"], p["beta"],
-                           *buffers, training)
+        out = conv_bn_relu(Tensor(x0), [cbr_unit(p, b) for p, b in zip(ps, buffers)], training)
         loss = ones_dot(op(out.data * probe, (out,), fresh_cotangent))
     backward(tape, loss)
-    assert seen == [True]
-    assert all(np.isfinite(t.grad).all() for t in p.values())
+    assert seen == [True, True] and len(refs) == 2
+    assert all(np.isfinite(t.grad).all() for p in ps for t in p.values())
 
 
 def test_ops_and_loss_leave_gradient_plumbing_to_the_tape():

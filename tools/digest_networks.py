@@ -68,14 +68,17 @@ class Run:
         self.params = dict(self.net.named_parameters())
         self.cfg, self.state = self.train.TrainConfig(), self.train.TrainState()
 
-    def step(self, training: bool):
+    def step(self, training: bool, after_forward=None):
         """Forward under a gradient tape, the weighted loss and `backward`,
         which leaves the parameter gradients in `.grad`: returns (logits,
-        loss)."""
+        loss).  `after_forward()`, if given, runs between the loss and the
+        backward."""
         self.net.zero_grad()
         with self.nn.GradientTape() as tape:
             logits = self.net.forward(self.x, training=training)
             loss = self.train.weighted_cross_entropy(logits, self.y, self.cfg.class_weights)
+        if after_forward is not None:
+            after_forward()
         self.nn.backward(tape, loss, parameters=self.params.values())
         return logits, loss
 

@@ -1,6 +1,7 @@
 """Time seeded training steps of two source trees in alternating pairs, in one
 process, and print each tree's median step time, minor page faults per
-step, tracemalloc peak of one step and the paired time ratio.
+step, tracemalloc bytes held after one step's forward and that step's
+peak, and the paired time ratio.
 
 Both trees build the same seeded network and batch and run the same
 training step, `digest_networks.Run`'s (the step that tool digests): a
@@ -18,10 +19,12 @@ The faults are the process's minor page faults (`resource.getrusage`)
 around each step, that is, fresh pages the step touched.  They depend on
 what the heap holds between steps: like `fit`'s loop, each tree keeps
 its last logits and loss until its next step.  After the timed pairs
-each tree runs one more, untimed step under `tracemalloc`, whose peak
-(numpy's buffers included, what the heap held before the step not) is a
-per-step memory figure that repeats exactly from run to run.  The last
-line says whether both trees computed bitwise the same losses.
+each tree runs one more, untimed step under `tracemalloc`.  What it holds
+once the forward and the loss have run, the tape's saved arrays and the
+logits, and its peak (numpy's buffers included, what the heap held
+before the step not) are per-step memory figures that repeat exactly
+from run to run.  The last line says whether both trees computed bitwise
+the same losses.
 """
 
 from __future__ import annotations
@@ -66,13 +69,13 @@ class TimedRun(Run):
         self.blas = importlib.import_module(f"{package}._blas")
         self.kept = None
 
-    def timed_step(self):
-        """One training step and its update: returns (seconds, minor faults,
-        loss)."""
+    def timed_step(self, after_forward=None):
+        """One training step and its update, with `after_forward` passed to
+        `step`: returns (seconds, minor faults, loss)."""
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         with self.blas.one_blas_thread():
-            logits, loss = self.step(True)
+            logits, loss = self.step(True, after_forward)
             self.update()
         seconds = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
@@ -80,12 +83,14 @@ class TimedRun(Run):
         self.kept = logits, loss
         return seconds, faults, float(loss.data)
 
-    def traced_peak_mib(self) -> float:
-        """The tracemalloc peak, in MiB, of one more `timed_step`."""
+    def traced_mib(self) -> tuple[float, float]:
+        """tracemalloc's bytes held after the forward and its peak, in MiB,
+        of one more `timed_step`."""
+        held = []
         tracemalloc.start()
         try:
-            self.timed_step()
-            return tracemalloc.get_traced_memory()[1] / 2**20
+            self.timed_step(lambda: held.append(tracemalloc.get_traced_memory()[0]))
+            return held[0] / 2**20, tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
 
@@ -119,9 +124,11 @@ def main(argv=None) -> int:
 
     report = {"arch": args.arch, "shape": args.shape, "pairs": PAIRS}
     for name, steps in runs.items():
+        held, peak = trees[name].traced_mib()
         report[name] = {"step_s.p50": float(np.median([s for s, _, _ in steps])),
                         "minor_faults.p50": float(np.median([f for _, f, _ in steps])),
-                        "traced_peak_mib": round(trees[name].traced_peak_mib(), 1)}
+                        "traced_forward_mib": round(held, 1),
+                        "traced_peak_mib": round(peak, 1)}
     ratios = [c[0] / p[0] for p, c in zip(runs["parent"], runs["change"])]
     report["time_ratio.q1_p50_q3"] = quartiles(ratios)
     report["change_faster_pairs"] = sum(r < 1.0 for r in ratios)
