@@ -263,16 +263,20 @@ class Network:
         payloads = []
         h = x
         for i in range(self.spec.levels):
-            h, payload = self._structure.down(self, i, self._blocks(f"enc{i + 1}", h, training))
+            h = F.conv_bn_relu(h, self._units(f"enc{i + 1}"), training)
+            h, payload = self._structure.down(self, i, h)
             payloads.append(payload)
-        h = self._blocks("bottom", h, training)
+        h = F.conv_bn_relu(h, self._units("bottom"), training)
         for i in reversed(range(self.spec.levels)):
-            h = self._blocks(f"dec{i + 1}", self._structure.up(self, i, h, payloads[i]), training)
+            # the up-sampled input is handed over, not held here, so that a
+            # tape-less chain can free it once its first unit has run
+            h = F.conv_bn_relu(self._structure.up(self, i, h, payloads[i]),
+                               self._units(f"dec{i + 1}"), training)
         return self.head.forward(h)
 
-    def _blocks(self, name: str, h, training: bool) -> Tensor:
-        return F.conv_bn_relu(h, [self._modules[f"{name}.{block}"].unit()
-                                  for block in ("block1", "block2")], training)
+    def _units(self, name: str) -> list[tuple]:
+        """The `F.conv_bn_relu` units of a level's two blocks."""
+        return [self._modules[f"{name}.{block}"].unit() for block in ("block1", "block2")]
 
     def __call__(self, x, training: bool = False) -> Tensor:
         return self.forward(x, training)

@@ -405,8 +405,9 @@ def conv_bn_relu(x, units, training: bool) -> Tensor:
     newly loaded state is never stale.  Its adjoint keeps each unit's
     output, for the mask and as the next unit's input, recomputes xhat from
     the unfolded conv output and then runs the training backward with BN's
-    eval-mode gradient, so gradients stay exact under a tape.  ReLU runs in
-    place on each output; NaN stays NaN."""
+    eval-mode gradient, so gradients stay exact under a tape.  Without a
+    tape, eval lets go of the chain's input once unit 1's conv has read it.
+    ReLU runs in place on each output; NaN stays NaN."""
     x = as_tensor(x)
     units = [tuple(unit) for unit in units]
     if not units:
@@ -426,6 +427,8 @@ def conv_bn_relu(x, units, training: bool) -> Tensor:
         return z
 
     a, saved = x.data, []
+    if not training and active_tape() is None:
+        x = None  # `a` alone holds the input, till unit 1's conv has read it
     for (weight, bias, gamma, beta, running_mean, running_var), pad in zip(units, pads):
         if training:
             a, xhat, inv_std = _batchnorm_train(conv_out(a, weight, bias, pad), gamma.data,

@@ -441,6 +441,34 @@ def test_block1_outputs_die_with_the_forward(monkeypatch):
     assert all(np.isfinite(p.grad).all() for p in net.parameters())
 
 
+def test_tapeless_eval_frees_a_decoder_level_input_after_block_1(monkeypatch):
+    # without a tape nothing reads a level's input once block 1's conv has
+    # run; at the decoder levels the forward hands the up-sampled input over
+    # to the op, so it is freed there, while the forward itself holds the
+    # encoder and bottom inputs
+    chains, dead = [], []
+    chain, correlate = F.conv_bn_relu, F._correlate
+
+    def spy_chain(x, units, training):
+        chains.append([weakref.ref(_owner(x.data)), 0])
+        held = [x]
+        del x
+        return chain(held.pop(), units, training)
+
+    def spy_correlate(*args):
+        ref, calls = chains[-1]
+        if calls == 1:
+            dead.append(ref() is None)
+        chains[-1][1] += 1
+        return correlate(*args)
+
+    monkeypatch.setattr(F, "conv_bn_relu", spy_chain)
+    monkeypatch.setattr(F, "_correlate", spy_correlate)
+    net = build(paper_spec("PU"), seed=3)
+    net(np.random.default_rng(4).standard_normal((1, 1, 16, 32, 32)).astype(np.float32))
+    assert dead == [False] * 5 + [True] * 4
+
+
 def test_didn_unshrunk_highs_die_with_the_forward(monkeypatch):
     # `low` is a copy of the analysis' lll band and the highs' vjp keeps a
     # shape, so the seven unshrunk subbands go once they are shrunk
