@@ -9,7 +9,7 @@ resolution; a 1x1x1 convolution maps the last decoder output to class
 logits.  Each block is a `ConvBNReLU` unit, and a level's two blocks run
 as one recorded op (`F.conv_bn_relu` on a chain of two units), whose
 backward rebuilds block 1's output from what BN kept instead of keeping it
-and which folds BN into the convs in eval mode.
+and which folds BN into the convs in eval mode where no tape records.
 """
 
 from __future__ import annotations

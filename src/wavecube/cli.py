@@ -40,6 +40,7 @@ from .nn.checkpoint import load_state
 from .pipeline import iou, segment_volume
 from .train import SHORT_SCHEDULE, TrainConfig, fit
 from .transform import ShrinkConfig, SubbandSet, dwt3, hard_shrink, idwt3
+from .validation import check_scale
 from .wavelet_tables import WAVELET_NAMES
 
 
@@ -98,9 +99,13 @@ def cmd_gen_phantom(args) -> int:
 
 def cmd_swc2label(args) -> int:
     morph = parse_swc(Path(args.swc).read_text())
-    scale = tuple(float(s) for s in args.scale.split(",")) if args.scale else None
-    if scale is not None and len(scale) != 3:
-        raise UsageError("--scale expects sz,sy,sx")
+    scale = None
+    if args.scale:
+        try:
+            scale = tuple(float(s) for s in args.scale.split(","))
+            check_scale(scale)
+        except ValueError as exc:
+            raise UsageError(f"--scale expects sz,sy,sx: {exc}") from None
     labels = rasterize(morph, _parse_shape(args.extents), scale)
     write_volume(args.out, labels)
     print(f"# rasterized {len(morph)} nodes -> {args.out} "

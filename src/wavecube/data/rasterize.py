@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..validation import check_scale
 from .swc import SwcMorphology
 
 
@@ -53,7 +54,8 @@ def _mark_sphere(vol: np.ndarray, p, r: float) -> None:
 
 def rasterize(m: SwcMorphology, extents: tuple[int, int, int],
               scale: tuple[float, float, float] | None = None) -> np.ndarray:
-    """Render a morphology to a binary uint8 volume of the given (d, m, n)."""
+    """Render a morphology to a binary uint8 volume of the given (d, m, n);
+    `scale`, if given, holds the voxel sizes (sz, sy, sx), see `check_scale`."""
     d, mm, n = extents
     if d <= 0 or mm <= 0 or n <= 0:
         raise ValueError(f"extents must be positive, got {extents}")
@@ -62,6 +64,7 @@ def rasterize(m: SwcMorphology, extents: tuple[int, int, int],
         to_voxel = lambda node: (node.z, node.y, node.x)
         r_of = lambda node: node.radius
     else:
+        check_scale(scale)
         sz, sy, sx = scale
         mean_scale = (sz + sy + sx) / 3.0
         to_voxel = lambda node: (node.z / sz, node.y / sy, node.x / sx)

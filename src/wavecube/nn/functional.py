@@ -297,16 +297,30 @@ def _batch_inv_std(mu: np.ndarray, var: np.ndarray, count: int,
     return 1.0 / np.sqrt(var + _BN_EPS)
 
 
-def _batchnorm_train(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                     running_mean: np.ndarray, running_var: np.ndarray):
-    """Training BN of the batch `z`, in `z`'s own buffer: returns
-    (gamma*xhat + beta, xhat, inv_std), where xhat is `z` overwritten, and
-    updates the running buffers as `_batch_inv_std` does.
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma*xhat + beta per channel, in a new array, by training
+    `_batchnorm_`'s own two calls, so its bits are that forward's."""
+    out = np.multiply(xhat, _col(gamma), out=np.empty_like(xhat))
+    out += _col(beta)
+    return out
 
-    The batch is centred once, in place; the variance is the mean of its
-    squares, numpy's own `var` order, so the bits equal `z.var`'s; then the
-    centred buffer is scaled into xhat, and the squares' buffer takes the
-    result."""
+
+def _batchnorm_(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                running_mean: np.ndarray, running_var: np.ndarray, training: bool):
+    """BN of the batch `z`, normalized in `z`'s own buffer, with the bits of
+    `batchnorm`: returns (gamma*xhat + beta, xhat, inv_std), xhat being `z`.
+
+    Eval takes `_running_stats` and builds the result by `_affine`.
+    Training takes batch statistics and updates the running buffers as
+    `_batch_inv_std` does: it centres the batch once, in place, takes the
+    variance as the mean of its squares (numpy's own `var` order, so the
+    bits equal `z.var`'s), scales the centred buffer into xhat, and builds
+    the result in the squares' buffer."""
+    if not training:
+        mu, inv_std = _running_stats(running_mean, running_var, z.dtype)
+        xhat = np.subtract(z, _col(mu), out=z)
+        xhat *= _col(inv_std)
+        return _affine(xhat, gamma, beta), xhat, inv_std
     mu = z.mean(axis=_AXES)
     xhat = np.subtract(z, _col(mu), out=z)
     result = np.square(xhat)
@@ -316,13 +330,6 @@ def _batchnorm_train(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     np.multiply(xhat, _col(gamma), out=result)
     result += _col(beta)
     return result, xhat, inv_std
-
-
-def _normalize(a: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-    """BN's normalized input (a - mu) * inv_std, per channel, in a new array."""
-    xhat = a - _col(mu)
-    xhat *= _col(inv_std)
-    return xhat
 
 
 def _batchnorm_adjoint(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
@@ -365,17 +372,10 @@ def batchnorm(x, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                                  running_mean, running_var)
     else:
         mu, inv_std = _running_stats(running_mean, running_var, a.dtype)
-    xhat = _normalize(a, mu, inv_std)
+    xhat = a - _col(mu)
+    xhat *= _col(inv_std)
     return op(_col(gamma.data) * xhat + _col(beta.data), (x, gamma, beta),
               lambda g, needs: _batchnorm_adjoint(g, xhat, gamma.data, inv_std, training))
-
-
-def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """gamma*xhat + beta per channel, in a new array, by `_batchnorm_train`'s
-    own two calls, so its bits are that forward's."""
-    out = np.multiply(xhat, _col(gamma), out=np.empty_like(xhat))
-    out += _col(beta)
-    return out
 
 
 def _relu_(a: np.ndarray) -> np.ndarray:
@@ -389,25 +389,22 @@ def conv_bn_relu(x, units, training: bool) -> Tensor:
     Each unit is (weight, bias, gamma, beta, running_mean, running_var): a
     "same" cubic convolution, BN's parameters and its running buffers.
 
-    Train mode normalizes with batch statistics in each conv output's own
-    buffer, and the op keeps the chain's input and each unit's xhat and
-    inv_std, nothing else.  The backward walks the units in reverse.  It
-    masks the last unit's cotangent with gamma*xhat + beta > 0, the
-    forward's own sum, bit for bit.  For every other unit it rebuilds the
-    unit's output, relu(gamma*xhat + beta), by the forward's own calls: the
-    next unit's kernel gradient reads it, and then it takes that unit's
-    masked cotangent (relu's output is > 0 where its input is, NaN
-    included).  BN's backward builds its gradient in xhat's buffer, and
-    each incoming cotangent is dropped before the conv's backward runs.
+    Wherever a tape records, and in training, each unit normalizes its conv
+    output in its own buffer (`_batchnorm_`, in the op's mode), and the op
+    keeps the chain's input and each unit's xhat and inv_std, nothing else.
+    The backward walks the units in reverse.  It masks the last unit's
+    cotangent with gamma*xhat + beta > 0, the forward's own sum, bit for
+    bit.  For every other unit it rebuilds the unit's output,
+    relu(gamma*xhat + beta), by the forward's own calls: the next unit's
+    kernel gradient reads it, and then it takes that unit's masked
+    cotangent (relu's output is > 0 where its input is, NaN included).
+    BN's backward builds its gradient in xhat's buffer, and each incoming
+    cotangent is dropped before the conv's backward runs.
 
-    Eval mode folds BN into each conv on every call, from the current
-    buffers: weight w*gamma/sigma, bias (b - mean)*gamma/sigma + beta, so a
-    newly loaded state is never stale.  Its adjoint keeps each unit's
-    output, for the mask and as the next unit's input, recomputes xhat from
-    the unfolded conv output and then runs the training backward with BN's
-    eval-mode gradient, so gradients stay exact under a tape.  Without a
-    tape, eval lets go of the chain's input once unit 1's conv has read it.
-    ReLU runs in place on each output; NaN stays NaN."""
+    Eval without a tape folds BN into each conv on every call, from the
+    current buffers (weight w*gamma/sigma, bias (b - mean)*gamma/sigma +
+    beta), keeps nothing, and lets go of the chain's input once unit 1's
+    conv has read it.  ReLU runs in place on each output; NaN stays NaN."""
     x = as_tensor(x)
     units = [tuple(unit) for unit in units]
     if not units:
@@ -421,25 +418,22 @@ def conv_bn_relu(x, units, training: bool) -> Tensor:
         channels = weight.data.shape[0]
     pads = [(unit[0].data.shape[2] - 1) // 2 for unit in units]
 
-    def conv_out(a, weight, bias, pad):
-        z = _correlate(a, weight.data, pad)
-        z += _col(bias.data)
-        return z
-
     a, saved = x.data, []
-    if not training and active_tape() is None:
+    fold = not training and active_tape() is None
+    if fold:
         x = None  # `a` alone holds the input, till unit 1's conv has read it
     for (weight, bias, gamma, beta, running_mean, running_var), pad in zip(units, pads):
-        if training:
-            a, xhat, inv_std = _batchnorm_train(conv_out(a, weight, bias, pad), gamma.data,
-                                                beta.data, running_mean, running_var)
-            saved.append((xhat, inv_std))
-        else:
+        if fold:
             mu, inv_std = _running_stats(running_mean, running_var, a.dtype)
             scale = gamma.data * inv_std
             a = _correlate(a, weight.data * scale[:, None, None, None, None], pad)
             a += _col((bias.data - mu) * scale + beta.data)
-            saved.append((a, mu, inv_std))
+        else:
+            z = _correlate(a, weight.data, pad)
+            z += _col(bias.data)
+            a, xhat, inv_std = _batchnorm_(z, gamma.data, beta.data, running_mean,
+                                           running_var, training)
+            saved.append((xhat, inv_std))
         _relu_(a)
     last = len(units) - 1
 
@@ -448,21 +442,14 @@ def conv_bn_relu(x, units, training: bool) -> Tensor:
         # backward has read them, before the unit below it runs
         grads = [None] * len(needs)
         for i in reversed(range(len(units))):
-            weight, bias, gamma, beta = units[i][:4]
-            if training:
-                xhat, inv_std = saved.pop()
-                # `a`, unit i+1's input, is unit i's rebuilt output
-                gz = _affine(xhat, gamma.data, beta.data) if i == last else a
-                np.multiply(g, gz > 0, out=gz)
-                del g
-                a = x.data if i == 0 else _relu_(_affine(saved[-1][0], units[i - 1][2].data,
-                                                         units[i - 1][3].data))
-            else:
-                out, mu, inv_std = saved.pop()
-                gz = g * (out > 0)
-                del g, out
-                a = x.data if i == 0 else saved[-1][0]
-                xhat = _normalize(conv_out(a, weight, bias, pads[i]), mu, inv_std)
+            weight, _, gamma, beta = units[i][:4]
+            xhat, inv_std = saved.pop()
+            # `a`, unit i+1's input, is unit i's rebuilt output
+            gz = _affine(xhat, gamma.data, beta.data) if i == last else a
+            np.multiply(g, gz > 0, out=gz)
+            del g
+            a = x.data if i == 0 else _relu_(_affine(saved[-1][0], units[i - 1][2].data,
+                                                     units[i - 1][3].data))
             gz, g_gamma, g_beta = _batchnorm_adjoint(gz, xhat, gamma.data, inv_std, training)
             del xhat
             k = 1 + 4 * i  # unit i's weight among the op's inputs

@@ -103,11 +103,11 @@ class BatchNorm3(Layer):
 
 class ConvBNReLU(Layer):
     """The network body unit: convolution + batch norm + ReLU, one unit of
-    `F.conv_bn_relu`'s chain, which says what training and eval keep for
-    the backward.  `forward` runs it as a chain of one; the networks chain
-    a level's two units into one recorded op, whose backward rebuilds the
-    first unit's output from its BN-normalized input instead of keeping
-    it."""
+    `F.conv_bn_relu`'s chain, which says what the op keeps for the
+    backward.  The networks chain a level's two units into one recorded op,
+    whose backward rebuilds the first unit's output from its BN-normalized
+    input instead of keeping it; eval folds BN into the conv only where no
+    tape records."""
 
     def __init__(self, c_in: int, c_out: int, rng=None, dtype=np.float32):
         self.conv = Conv3(c_in, c_out, rng=rng, dtype=dtype)
@@ -118,9 +118,6 @@ class ConvBNReLU(Layer):
         `F.conv_bn_relu` unit."""
         conv, bn = self.conv, self.bn
         return conv.weight, conv.bias, bn.gamma, bn.beta, bn.running_mean, bn.running_var
-
-    def forward(self, x, training: bool):
-        return F.conv_bn_relu(x, [self.unit()], training)
 
     def describe(self) -> str:
         return f"{self.conv.describe()} + BN + ReLU"

@@ -76,8 +76,9 @@ def assemble(grid: CubeGrid, cubes) -> np.ndarray:
         if origin in by_origin:
             raise ShapeMismatchError(f"duplicate cube for origin {origin}")
         by_origin[origin] = np.asarray(cube)
+    known = set(grid.origins)
     missing = [o for o in grid.origins if o not in by_origin]
-    extra = [o for o in by_origin if o not in set(grid.origins)]
+    extra = [o for o in by_origin if o not in known]
     if missing or extra:
         raise ShapeMismatchError(
             f"cube set does not match grid (missing {missing[:3]}, extra {extra[:3]})")

@@ -43,6 +43,12 @@ def check_threshold(value: float, name: str = "threshold") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def check_scale(scale) -> None:
+    """Raise ValueError unless `scale` is three finite positive voxel sizes."""
+    if len(scale) != 3 or not all(0 < s < np.inf for s in scale):
+        raise ValueError(f"scale must be three finite positive values, got {scale}")
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "arrays") -> None:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{what} differ in shape: {a.shape} vs {b.shape}")

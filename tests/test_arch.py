@@ -214,6 +214,13 @@ def _randomize_head(net, seed=0):
         net.head.weight.data.shape).astype(net.head.weight.data.dtype)
 
 
+def _draw_bn_buffers(net, local):
+    # the initial buffers (mean 0, var 1) make eval BN nearly an identity
+    for path, buf in net.named_buffers():
+        buf[...] = (local.normal(0.0, 0.2, buf.shape) if path.endswith("mean")
+                    else local.uniform(0.5, 1.5, buf.shape))
+
+
 def test_didn_with_zero_threshold_equals_di():
     x = np.random.default_rng(3).standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
     di = build(paper_spec("DI", "haar"), seed=11)
@@ -297,7 +304,7 @@ def test_conv_bn_relu_unit_records_once():
     x = np.random.default_rng(2).standard_normal((2, 2, 4, 4, 4)).astype(np.float32)
     for training in (True, False):
         with GradientTape() as tape:
-            unit.forward(x, training)
+            F.conv_bn_relu(x, [unit.unit()], training)
         assert len(tape) == 1
 
 
@@ -420,14 +427,14 @@ def test_block1_outputs_die_with_the_forward(monkeypatch):
     # block 1's output, so neither the tape nor an adjoint keeps that output;
     # of the block-2 outputs only the last, the head conv's input, stays
     refs = []
-    bn_train = F._batchnorm_train
+    batchnorm_ = F._batchnorm_
 
     def spy(*args):
-        out = bn_train(*args)
+        out = batchnorm_(*args)
         refs.append(weakref.ref(out[0]))
         return out
 
-    monkeypatch.setattr(F, "_batchnorm_train", spy)
+    monkeypatch.setattr(F, "_batchnorm_", spy)
     net = build(paper_spec("PU"), seed=3)
     local = np.random.default_rng(4)
     x = local.standard_normal((1, 1, 16, 32, 32)).astype(np.float32)
@@ -503,6 +510,22 @@ def test_eval_forward_reads_bn_buffers_loaded_after_an_earlier_forward():
     assert after.tobytes() == fresh(x).data.tobytes()
 
 
+def test_eval_logits_under_a_tape_match_the_tapeless_forward():
+    # without a tape eval folds BN into each conv; under a tape it
+    # normalizes the unfolded conv output, so the logits differ by float32
+    # rounding only
+    net = build(paper_spec("DIDn", "haar"), seed=15)
+    local = np.random.default_rng(16)
+    _randomize_head(net, seed=17)
+    _draw_bn_buffers(net, local)
+    x = local.standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
+    folded = net(x).data
+    with GradientTape() as tape:
+        taped = net(x).data
+    assert len(tape) > 0 and folded.std() > 0
+    np.testing.assert_allclose(taped, folded, rtol=1e-5, atol=1e-5 * np.abs(folded).max())
+
+
 def _loss_and_grads(kind):
     net = build(paper_spec(kind, "db2"), seed=8, dtype=np.float64)
     local = np.random.default_rng(9)
@@ -538,9 +561,7 @@ def test_resampling_conv_networks_match_finite_differences(kind, training):
                 dtype=np.float64)
     local = np.random.default_rng(13)
     _randomize_head(net, seed=14)
-    for path, buf in net.named_buffers():
-        buf[...] = (local.normal(0.0, 0.2, buf.shape) if path.endswith("mean")
-                    else local.uniform(0.5, 1.5, buf.shape))
+    _draw_bn_buffers(net, local)
     x = local.standard_normal((2, 1, 16, 16, 16))
     labels = local.integers(0, 2, (2, 16, 16, 16))
     params = dict(net.named_parameters())

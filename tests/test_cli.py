@@ -185,6 +185,18 @@ def test_swc2label_and_eval(tmp_path, capsys):
     assert out.split("\t") == ["1.0000", "1.0000", "1.0000"]
 
 
+@pytest.mark.parametrize("scale", ["0,1,1", "-1,1,1", "1,nan,1", "1,1,inf"])
+def test_swc2label_rejects_a_bad_scale_as_a_usage_error(tmp_path, capsys, scale):
+    swc = tmp_path / "n.swc"
+    swc.write_text("1 2 8.0 8.0 8.0 2.0 -1\n")
+    lbl = tmp_path / "n.nvol"
+    assert main(["swc2label", "--swc", str(swc), "--extents", "16x16x16",
+                 "--out", str(lbl), f"--scale={scale}"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: --scale" in err and "Traceback" not in err
+    assert not lbl.exists()
+
+
 def test_make_cubes(tmp_path, vol_file):
     path, vol = vol_file
     lbl_path = tmp_path / "lbl.nvol"

@@ -165,6 +165,14 @@ def test_rasterize_scale_divides_coordinates():
     assert labels[2, 20, 20] == 1
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_rasterize_rejects_a_scale_that_is_not_finite_and_positive(bad):
+    # zero divides by zero; a negative or NaN size silently labels nothing
+    m = SwcMorphology([SwcNode(1, 1, 7.0, 7.0, 2.0, 1.0, -1)])
+    with pytest.raises(ValueError, match="finite positive"):
+        rasterize(m, (8, 32, 32), scale=(1.0, bad, 1.0))
+
+
 # -- cube cutting -----------------------------------------------------------------
 
 def test_pad_to_multiple():

@@ -5,12 +5,17 @@ Eight configurations run on one seeded 2x1x16x32x32 batch, and DIDn(haar)
 runs once more on the 4x1x16x64x64 desk batch: there, from level 1 down,
 a kernel gradient with 8 or more output channels spans several gemm blocks
 per sample, the path whose bits OpenBLAS's thread count would change if
-`backward` did not run on one thread.  Each runs two train steps and two
-eval steps under a gradient tape, each followed by a momentum-SGD update,
-then one tape-less eval forward.  A step's digest covers its loss, every
-parameter gradient, every BN running buffer and the logits; the last
-digest covers the tape-less logits.  Two source trees compute bitwise the
-same losses, gradients, buffers and logits when their outputs are equal:
+`backward` did not run on one thread.  Each runs two train steps under a
+gradient tape (`train1`, `train2`), one tape-less eval forward
+(`forward_trained`), two eval steps under a tape (`eval1`, `eval2`) and
+one more tape-less eval forward (`forward`); each step is followed by a
+momentum-SGD update.  A step's digest covers its loss, every parameter
+gradient, every BN running buffer and the logits; a forward's digest
+covers its logits.  A change to the arithmetic of eval under a tape moves
+`eval1`, `eval2` and, through the updated weights, `forward`; the
+tape-less eval path (BN folded into the convs) is checked apart from it by
+`forward_trained`.  Two source trees compute bitwise the same losses,
+gradients, buffers and logits when their outputs are equal:
 
     python tools/digest_networks.py > change.json
     python tools/digest_networks.py --src ../parent/src > parent.json
@@ -91,14 +96,16 @@ class Run:
 def digest_config(kind: str, wavelet: str | None, shape=SHAPE) -> dict[str, str]:
     run = Run("wavecube", kind, wavelet, shape)
     out = {}
-    for step, training in (("train1", True), ("train2", True), ("eval1", False),
-                           ("eval2", False)):
-        logits, loss = run.step(training)
-        out[step] = _digest([("loss", loss.data), ("logits", logits.data)]
-                            + [(f"grad:{p}", t.grad) for p, t in run.params.items()]
-                            + [(f"buffer:{p}", b) for p, b in run.net.named_buffers()])
-        run.update()
-    out["forward"] = _digest([("logits", run.net.forward(run.x, training=False).data)])
+    for phase, training, forward in (("train", True, "forward_trained"),
+                                     ("eval", False, "forward")):
+        for k in (1, 2):
+            logits, loss = run.step(training)
+            out[f"{phase}{k}"] = _digest(
+                [("loss", loss.data), ("logits", logits.data)]
+                + [(f"grad:{p}", t.grad) for p, t in run.params.items()]
+                + [(f"buffer:{p}", b) for p, b in run.net.named_buffers()])
+            run.update()
+        out[forward] = _digest([("logits", run.net.forward(run.x, training=False).data)])
     return out
 
 
