@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import CycleError, DanglingParentError, DuplicateNodeError, SwcFormatError
@@ -72,7 +73,8 @@ class SwcMorphology:
 
 def parse_swc(text: str) -> SwcMorphology:
     """Parse SWC text: '#' comments and 7-field records
-    (id type x y z radius parent)."""
+    (id type x y z radius parent), with finite coordinates and a finite
+    radius > 0; `SwcFormatError` names the first line that breaks this."""
     nodes = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -83,7 +85,7 @@ def parse_swc(text: str) -> SwcMorphology:
             raise SwcFormatError(
                 f"line {lineno}: expected 7 fields, got {len(fields)}: {raw!r}")
         try:
-            nodes.append(SwcNode(
+            node = SwcNode(
                 id=int(fields[0]),
                 type_code=int(fields[1]),
                 x=float(fields[2]),
@@ -91,9 +93,14 @@ def parse_swc(text: str) -> SwcMorphology:
                 z=float(fields[4]),
                 radius=float(fields[5]),
                 parent_id=int(fields[6]),
-            ))
+            )
         except ValueError as exc:
             raise SwcFormatError(f"line {lineno}: {exc}: {raw!r}") from None
+        if not all(map(math.isfinite, (node.x, node.y, node.z, node.radius))):
+            raise SwcFormatError(f"line {lineno}: coordinates and radius must be finite: {raw!r}")
+        if node.radius <= 0:
+            raise SwcFormatError(f"line {lineno}: radius must be > 0, got {node.radius}: {raw!r}")
+        nodes.append(node)
     return SwcMorphology(nodes)
 
 

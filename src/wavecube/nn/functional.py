@@ -50,6 +50,12 @@ def _check_even_spatial(x: Tensor, what: str) -> None:
 # bounds the Python overhead per block.
 _BLOCK_BYTES = 1 << 19
 
+# Bytes of the padded planes a convolution holds of its input at a time
+# (a slab).  A padded copy of the whole input would take 8.8 MiB per
+# 4-channel sample at a paper-scale cube's level 0, made afresh by every
+# conv and adjoint.
+_SLAB_BYTES = 1 << 21
+
 # The lazy wavelet: with these two filters `_forward3` splits a volume into
 # its eight 2x2x2 phases, phase 4*dz + 2*dy + dx being the block entry at
 # offset (dz, dy, dx), and `_inverse3` interleaves eight phases back.
@@ -64,7 +70,13 @@ class _FlatGrid:
     sample's grid is flattened into one row, where a kernel offset (i, j, l)
     is the shift i*plane + j*row + l; (k-1)*(row+1) trailing zeros keep
     every shift in bounds, and output positions past the valid extents
-    e + 2*pad - k + 1 in y and x read padding and are cropped afterwards."""
+    e + 2*pad - k + 1 in y and x read padding and are cropped afterwards.
+
+    `blocks` reads an input through a slab of `depth` consecutive planes of
+    that row: about `_SLAB_BYTES`, at least twice the planes one block reads
+    (so a refill moves at most about half of them again), and the whole
+    grid, never more, once the grid is at most a quarter deeper than that,
+    where refills would cost more than they save."""
 
     def __init__(self, shape, itemsize: int, pad: int, k: int):
         self.k, self.pad = k, pad
@@ -75,6 +87,12 @@ class _FlatGrid:
         self.out_len = self.out_sp[0] * self.plane
         rows = shape[1] * k * k
         self.block = max(1, min(self.out_len, max(1024, _BLOCK_BYTES // (rows * itemsize))))
+        self.tail = (k - 1) * (self.row + 1)
+        # a block [start, stop) reads flat positions start .. stop - 1 + reach
+        self.reach = (k - 1) * (self.plane + self.row + 1)
+        depth = max(2 * -(-(self.plane - 1 + self.block + self.reach) // self.plane),
+                    _SLAB_BYTES // (shape[1] * self.plane * itemsize))
+        self.depth = self.sp[0] if 4 * self.sp[0] <= 5 * depth else depth
 
     def padded(self, a: np.ndarray) -> np.ndarray:
         """`a` as (B, C, flat) rows of its zero-padded grid, trailing zeros
@@ -83,38 +101,87 @@ class _FlatGrid:
         b, c = a.shape[:2]
         if k == 1 and pad == 0:
             return a.reshape(b, c, size)
-        flat = np.zeros((b, c, size + (k - 1) * (self.row + 1)), dtype=a.dtype)
+        flat = np.zeros((b, c, size + self.tail), dtype=a.dtype)
         grid = flat[:, :, :size].reshape((b, c) + self.sp)
         grid[(..., *(slice(pad, pad + e) for e in a.shape[2:]))] = a
         return flat
 
-    def blocks(self, flat: np.ndarray):
-        """Yield (sample, start, stop, cols) for each sample of the padded
-        rows `flat` and each block of at most `block` flat output positions.
-        `cols` is the block's k*k (z, y) shifts, (C*k*k, stop - start + k - 1)
-        with rows ordered (c, i, j); its slice `cols[:, l:l + stop - start]`
-        is the input under kernel offsets (i, j, l).  One buffer is reused
-        for every block and filled by one copy; with k = 1 `cols` is the
-        flat slice itself."""
-        k, n, c = self.k, self.out_len, flat.shape[1]
-        buf = np.empty((c, k, k, self.block + k - 1), dtype=flat.dtype) if k > 1 else None
-        for bi, src in enumerate(flat):
-            if k > 1:
-                # shifts[:, i, j, p] = src[:, i*plane + j*row + p]: every (z, y)
-                # shift of the whole sample as one read-only view.  Its last
-                # element, (k-1)*(plane + row) + out_len + k - 2, lies within
-                # `src`, which the (k-1)*(row+1) tail pads to.
-                item = src.itemsize
-                shifts = as_strided(src, (c, k, k, n + k - 1),
-                                    (src.strides[0], self.plane * item, self.row * item, item),
-                                    writeable=False)
+    def _shifts(self, rows: np.ndarray) -> np.ndarray:
+        """shifts[:, i, j, p] = rows[:, i*plane + j*row + p]: every (z, y)
+        shift of the (C, flat) `rows` as one read-only view, p running as
+        far as the (k-1)*(row+1) tail keeps the last shift within `rows`."""
+        c, k, item = rows.shape[0], self.k, rows.itemsize
+        n = rows.shape[1] - (k - 1) * (self.plane + self.row)
+        return as_strided(rows, (c, k, k, n), (rows.strides[0], self.plane * item,
+                                               self.row * item, item), writeable=False)
+
+    def _fill(self, slab: np.ndarray, a: np.ndarray, z0: int, old: int | None) -> int:
+        """Make `slab`, zeroed once, hold the padded planes z0 .. z0+depth of
+        the sample `a`, (C, z, y, x), and return z0.  Planes it held from
+        `old` on move down; every other plane has its interior written, from
+        `a` or, outside the volume, with zeros, so the y and x padding stays
+        zero.  The trailing zeros are never written."""
+        depth, pad, ez, plane = self.depth, self.pad, a.shape[1], self.plane
+        kept = 0
+        if old is not None and old + depth > z0:
+            kept, shift = old + depth - z0, z0 - old
+            # per channel, in runs of at most `shift` planes: numpy copies a
+            # source whose bounds meet the destination's into a temporary
+            for rows in slab:
+                for s in range(0, kept, shift):
+                    n = min(shift, kept - s)
+                    rows[s * plane:(s + n) * plane] = rows[(s + shift) * plane:
+                                                           (s + shift + n) * plane]
+        grid = slab[:, :depth * plane].reshape((-1, depth) + self.sp[1:])
+        inner = grid[(slice(None), slice(None), *(slice(pad, pad + e) for e in a.shape[2:]))]
+        # slots kept.. are written; slot s holds plane z0 + s, in the volume
+        # for first <= s < last
+        first = min(max(pad - z0, kept), depth)
+        last = max(min(pad + ez - z0, depth), first)
+        inner[:, kept:first] = 0
+        inner[:, first:last] = a[:, z0 + first - pad:z0 + last - pad]
+        inner[:, last:] = 0
+        return z0
+
+    def blocks(self, src: np.ndarray):
+        """Yield (sample, start, stop, cols) for each sample of `src` and each
+        block of at most `block` flat output positions.  `src` is either the
+        input, (B, C, z, y, x), read through one slab that `_fill` refills
+        whenever a block reaches past it, or its padded rows (B, C, flat)
+        from `padded`, read in place.  `cols` is the block's k*k (z, y)
+        shifts, (C*k*k, stop - start + k - 1) with rows ordered (c, i, j);
+        its slice `cols[:, l:l + stop - start]` is the input under kernel
+        offsets (i, j, l).  One buffer is reused for every block and filled
+        by one copy from a read-only shift view, built once per call over
+        the slab or once per sample over padded rows; with k = 1 `cols` is
+        a slice of the input itself."""
+        k, n, plane, planes = self.k, self.out_len, self.plane, self.sp[0]
+        b, c = src.shape[:2]
+        if k == 1:  # no padding: the flat rows are the input's own
+            rows = src.reshape(b, c, -1)
+            for bi in range(b):
+                for start in range(0, n, self.block):
+                    stop = min(start + self.block, n)
+                    yield bi, start, stop, rows[bi, :, start:stop]
+            return
+        buf = np.empty((c, k, k, self.block + k - 1), dtype=src.dtype)
+        slab = None
+        if src.ndim == 5:
+            slab = np.zeros((c, self.depth * plane + self.tail), dtype=src.dtype)
+            shifts, depth = self._shifts(slab), self.depth
+        else:
+            depth = planes
+        for bi in range(b):
+            if slab is None:
+                z0, shifts = 0, self._shifts(src[bi])
+            else:
+                z0 = self._fill(slab, src[bi], 0, None)
             for start in range(0, n, self.block):
                 stop = min(start + self.block, n)
-                if k == 1:
-                    yield bi, start, stop, src[:, start:stop]
-                    continue
-                width = stop - start + k - 1
-                np.copyto(buf[..., :width], shifts[..., start:start + width])
+                if stop + self.reach > (z0 + depth) * plane and z0 + depth < planes:
+                    z0 = self._fill(slab, src[bi], min(start // plane, planes - depth), z0)
+                width, at = stop - start + k - 1, start - z0 * plane
+                np.copyto(buf[..., :width], shifts[..., at:at + width])
                 yield bi, start, stop, buf.reshape(c * k * k, -1)[:, :width]
 
     def crop(self, flat_out: np.ndarray) -> np.ndarray:
@@ -151,19 +218,21 @@ def _correlate(a: np.ndarray, w: np.ndarray, pad: int, stride: int = 1) -> np.nd
         return _correlate(_split(a, pad), _split(w, 0), 0)
     grid = _FlatGrid(a.shape, a.itemsize, pad, w.shape[2])
     out = np.empty((a.shape[0], w.shape[0], grid.out_len), dtype=np.result_type(a, w))
-    return grid.crop(_correlate_rows(grid, grid.padded(a), w, out))
+    return grid.crop(_correlate_rows(grid, a, w, out))
 
 
-def _correlate_rows(grid: _FlatGrid, flat: np.ndarray, w: np.ndarray, out: np.ndarray):
-    """Fill and return `out`, (B, Co, out_len) rows, with `grid`'s padded
-    rows `flat` correlated with `w`: per gathered block, k gemms
-    (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset slices, accumulated.
-    Callers crop `out` once `flat` is dropped; a forward allocates it before
-    `flat`, as the other order raised `segment_volume`'s peak RSS by 7 MB."""
+def _correlate_rows(grid: _FlatGrid, src: np.ndarray, w: np.ndarray, out: np.ndarray):
+    """Fill and return `out`, (B, Co, out_len) rows, with `src` (the input
+    or its padded rows, as `grid.blocks` takes it) correlated with `w`: per
+    gathered block, k gemms (Co, Ci*k*k) @ (Ci*k*k, block) on its x-offset
+    slices, accumulated.  Callers crop `out` once the blocks are done; a
+    forward allocates `out` before its input's slab, as the other order
+    (then with a padded copy of the whole input) raised `segment_volume`'s
+    peak RSS by 7 MB."""
     co, k = w.shape[0], grid.k
     w_l = [np.ascontiguousarray(w[..., l]).reshape(co, -1) for l in range(k)]
     tmp = np.empty((co, grid.block), dtype=out.dtype)
-    for bi, start, stop, cols in grid.blocks(flat):
+    for bi, start, stop, cols in grid.blocks(src):
         m = stop - start
         dst = out[bi, :, start:stop]
         np.matmul(w_l[0], cols[:, :m], out=dst)
@@ -177,12 +246,14 @@ def _correlate_adjoint(a: np.ndarray | None, w: np.ndarray, pad: int, g: np.ndar
                        stride: int = 1):
     """The gradients (ga, gw) of `_correlate(a, w, pad, stride)` for the
     cotangent `g`, None where `needs[0]`, `needs[1]` is false (`a` is read
-    only for `gw`).  `g` is padded once, by k-1-pad, into the transpose's
-    grid.  The kernel gradient runs first, per gathered block of `a`: k
-    gemms with that copy read from flat offset (k-1-pad)*(plane + row + 1),
-    the row-padded cotangent of `a`'s grid.  The input gradient correlates
-    the copy with the flipped, (Co, Ci)-transposed kernel.  Stride 2 runs
-    on the phases of `a` and the kernel and merges both gradients back."""
+    only for `gw`).  `g` is padded whole once, by k-1-pad, into the
+    transpose's grid, for both halves.  The kernel gradient runs first, per
+    gathered block of `a`, which it reads through a slab as the forward
+    does: k gemms with that copy read from flat offset
+    (k-1-pad)*(plane + row + 1), the row-padded cotangent of `a`'s grid.
+    The input gradient correlates the copy with the flipped, (Co,
+    Ci)-transposed kernel.  Stride 2 runs on the phases of `a` and the
+    kernel and merges both gradients back."""
     k = w.shape[2]
     if stride == 2:
         ga, gw = _correlate_adjoint(_split(a, pad) if needs[1] else None, _split(w, 0), 0,
@@ -197,7 +268,7 @@ def _correlate_adjoint(a: np.ndarray | None, w: np.ndarray, pad: int, g: np.ndar
         grid = _FlatGrid(a.shape, a.itemsize, pad, k)
         first = t_grid.pad * (grid.plane + grid.row + 1)
         gw = np.zeros((k, ci * k * k, co), dtype=np.result_type(g, a))
-        for bi, start, stop, cols in grid.blocks(grid.padded(a)):
+        for bi, start, stop, cols in grid.blocks(a):
             for l in range(k):
                 gw[l] += cols[:, l:l + stop - start] @ g_flat[bi, :, first + start:first + stop].T
         gw = np.ascontiguousarray(gw.reshape(k, ci, k, k, co).transpose(4, 1, 2, 3, 0))

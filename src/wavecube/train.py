@@ -69,6 +69,10 @@ def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
     """Per-voxel weighted softmax cross-entropy, normalized by total weight.
 
     loss = sum_v w[y_v] * (-log softmax(logits_v)[y_v]) / sum_v w[y_v]
+
+    `labels` may be of any integer dtype; each class's voxels are picked by
+    `labels == c`.  The backward keeps the softmax, the labels and the
+    per-class weights w / sum_v w[y_v], not the per-voxel weights.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels)
@@ -98,12 +102,14 @@ def weighted_cross_entropy(logits, labels: np.ndarray, weights) -> Tensor:
     w_vox = w[labels]
     total_w = w_vox.sum()
     loss_val = -(w_vox * logp_y).sum() / total_w
+    del w_vox, logp_y
+    w_norm = w / total_w  # w_vox / total_w, voxel by voxel, is w_norm[labels]
 
     def vjp(g, needs):
         d = np.empty_like(softmax)
         for c in range(n_classes):
             np.subtract(softmax[:, c], labels == c, out=d[:, c])
-        d *= (w_vox / total_w)[:, None]
+        d *= w_norm[labels][:, None]
         d *= g
         return (d,)
 
@@ -167,6 +173,13 @@ def _as_pair(item):
     return img, lbl
 
 
+def _label_array(label) -> np.ndarray:
+    """A label cube as the loss reads it: integer labels as they are, any
+    other dtype (bool, float) converted to int64."""
+    label = np.asarray(label)
+    return label if label.dtype.kind in "iu" else label.astype(np.int64)
+
+
 def argmax_batches(network: Network, images, batch_size: int):
     """Yield the argmax label cubes of `images`, forwarded `batch_size` at a
     time in eval mode, one (batch, z, y, x) array per batch; ties go to the
@@ -199,6 +212,10 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
     every spec and `cfg` field plus `blas_threads` as `key=value` text, is
     the log's second header line; each checkpoint's meta is the run record
     plus `epoch`.
+
+    A step holds no more than its backward reads: the forward's logits go
+    straight into the loss, which keeps its softmax instead, and integer
+    labels keep their own dtype (a uint8 cube is not widened to int64).
     """
     items = [_as_pair(it) for it in dataset]
     if not items:
@@ -246,13 +263,12 @@ def fit(spec: NetworkSpec, dataset, cfg: TrainConfig, out_dir=None,
             for start in range(0, n_train, cfg.batch_size):
                 batch = [train_items[i] for i in order[start : start + cfg.batch_size]]
                 x = np.stack([np.asarray(img, dtype=network.dtype) for img, _ in batch])[:, None]
-                y = np.stack([np.asarray(lbl, dtype=np.int64) for _, lbl in batch])
+                y = np.stack([_label_array(lbl) for _, lbl in batch])
                 lr = poly_lr(state.iteration, max_iter, cfg)
 
                 network.zero_grad()
                 with GradientTape() as tape:
-                    logits = network.forward(x, training=True)
-                    loss = weighted_cross_entropy(logits, y, weights)
+                    loss = weighted_cross_entropy(network.forward(x, training=True), y, weights)
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):
                     raise NonFiniteLossError(state.iteration + 1, loss_val)

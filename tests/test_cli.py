@@ -197,6 +197,19 @@ def test_swc2label_rejects_a_bad_scale_as_a_usage_error(tmp_path, capsys, scale)
     assert not lbl.exists()
 
 
+@pytest.mark.parametrize("record", ["1 2 nan 8.0 8.0 2.0 -1", "1 2 4.0 4.0 4.0 -2.0 -1"])
+def test_swc2label_rejects_a_non_finite_coordinate_or_a_negative_radius(tmp_path, capsys,
+                                                                        record):
+    swc = tmp_path / "n.swc"
+    swc.write_text(f"# one node\n{record}\n")
+    lbl = tmp_path / "n.nvol"
+    assert main(["swc2label", "--swc", str(swc), "--extents", "8x8x8",
+                 "--out", str(lbl)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: line 2:" in err and "Traceback" not in err
+    assert not lbl.exists()
+
+
 def test_make_cubes(tmp_path, vol_file):
     path, vol = vol_file
     lbl_path = tmp_path / "lbl.nvol"

@@ -100,6 +100,16 @@ def test_parse_errors():
         SwcMorphology([SwcNode(1, 2, 0, 0, 0, 1, 2), SwcNode(2, 2, 1, 1, 1, 1, 1)])
 
 
+@pytest.mark.parametrize("record", [
+    "2 2 nan 8.0 8.0 2.0 1", "2 2 8.0 inf 8.0 2.0 1", "2 2 8.0 8.0 -inf 2.0 1",
+    "2 2 8.0 8.0 8.0 nan 1", "2 2 8.0 8.0 8.0 -2.0 1", "2 2 8.0 8.0 8.0 0.0 1",
+])
+def test_parse_rejects_non_finite_values_and_non_positive_radii(record):
+    with pytest.raises(SwcFormatError) as err:
+        parse_swc(f"# two nodes\n1 2 4.0 4.0 4.0 1.0 -1\n{record}\n")
+    assert str(err.value).startswith("line 3:") and record in str(err.value)
+
+
 def test_parse_serialize_roundtrip():
     text = "\n".join([
         "1 1 0.25 1.125 2.0 1.75 -1",

@@ -4,6 +4,7 @@ import io
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -377,6 +378,70 @@ def test_conv3_spanning_several_gather_blocks(stride):
     # the loss is linear in x and in w: <grad, argument> equals the loss
     assert float((x.grad * x0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
     assert float((w.grad * w0).sum()) == pytest.approx(float(loss.data), rel=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_read_through_slabs_gives_the_one_slab_bytes(monkeypatch, k, stride):
+    # a one-byte slab budget leaves each slab the fewest planes the rule
+    # allows: each of the 2 samples then spans at least 3 slabs, refilled
+    # by moving the planes they share, and the last one stops at the
+    # grid's end; output and gradients must be the bytes of one slab
+    # holding the whole grid
+    local = np.random.default_rng(40 + k + stride)
+    a = local.standard_normal((2, 4, 240, 10, 12))
+    w = local.standard_normal((3, 4, k, k, k))
+    fills = []
+    fill = functional._FlatGrid._fill
+
+    def counting_fill(self, slab, sample, z0, old):
+        fills.append((self.depth, self.sp[0], z0, old))
+        return fill(self, slab, sample, z0, old)
+
+    monkeypatch.setattr(functional._FlatGrid, "_fill", counting_fill)
+    runs = {}
+    for budget in (1 << 40, 1):
+        monkeypatch.setattr(functional, "_SLAB_BYTES", budget)
+        for pad in range(k):
+            fills.clear()
+            out = functional._correlate(a, w, pad, stride)
+            g = np.random.default_rng(pad).standard_normal(out.shape)
+            grads = [functional._correlate_adjoint(a, w, pad, g, needs, stride)
+                     for needs in ((True, True), (False, True))]
+            runs[budget, pad] = [out.tobytes()] + [r.tobytes() for ga_gw in grads
+                                                   for r in ga_gw if r is not None]
+            if -(-k // stride) == 1:  # a 1-cube correlation reads the input in place
+                assert fills == []
+                continue
+            starts = [i for i, f in enumerate(fills) if f[3] is None]
+            assert len(starts) == 3 * 2  # each sample, in the forward and both adjoints
+            for first, end in zip(starts, starts[1:] + [len(fills)]):
+                depth, planes, z0, _ = fills[end - 1]
+                if budget == 1:
+                    assert end - first >= 3 and z0 + depth == planes
+                else:
+                    assert end - first == 1 and depth == planes
+    for pad in range(k):
+        assert runs[1, pad] == runs[1 << 40, pad], pad
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+def test_kernel_gradient_pads_its_input_a_slab_at_a_time():
+    # at a paper-scale cube's level 0 the kernel gradient alone holds the
+    # padded cotangent (9 MiB) and one slab of the input, never a padded
+    # copy of the whole input
+    local = np.random.default_rng(3)
+    a = local.standard_normal((1, 4, 32, 128, 128)).astype(np.float32)
+    w = local.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
+    g = local.standard_normal(a.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        ga, gw = functional._correlate_adjoint(a, w, 1, g, (False, True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ga is None and gw.shape == w.shape
+    assert peak < 1.5 * a.nbytes, peak / a.nbytes
 
 
 def test_conv3_rejects_padding_outside_kernel():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wavecube import _blas
+from wavecube import _blas, train
 from wavecube.arch import NetworkSpec, paper_spec
 from wavecube.data import PhantomConfig, generate_phantom_dataset
 from wavecube.errors import NonFiniteGradientError, NonFiniteLossError
@@ -186,6 +186,31 @@ def test_fit_log_line_reports_peak_rss():
         peak = re.search(r" peak_rss_mb=(\d+\.\d) ", line)
         assert peak is not None, line
         assert float(peak.group(1)) > 0
+
+
+def test_fit_reads_uint8_int64_and_bool_labels_alike_and_keeps_uint8(monkeypatch):
+    # the loss picks each class by `labels == c`, so a uint8 cube trains
+    # without an int64 copy; bool labels are widened as before
+    ds = _clean_phantoms(3)
+    assert ds[0][1].dtype == np.uint8
+    seen = []
+    loss_fn = train.weighted_cross_entropy
+
+    def spy(logits, labels, weights):
+        seen.append(labels.dtype)
+        return loss_fn(logits, labels, weights)
+
+    monkeypatch.setattr(train, "weighted_cross_entropy", spy)
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=0, val_fraction=0.0)
+    runs = []
+    for dtype in (np.uint8, np.int64, bool):
+        seen.clear()
+        result = fit(paper_spec("PU"), [(img, lbl.astype(dtype)) for img, lbl in ds], cfg)
+        assert seen == [np.dtype(np.int64 if dtype is bool else dtype)] * 4
+        runs.append(([s.iteration_losses for s in result.history],
+                     {k: v.tobytes() for k, v in result.network.state_dict().items()}))
+    assert any("running_mean" in k for k in runs[0][1])
+    assert runs[0] == runs[1] == runs[2]
 
 
 OPENBLAS = _blas.openblas()

@@ -47,13 +47,17 @@ DESK = ("DIDn", "haar", (4, 1, 16, 64, 64))
 LR = 0.01
 
 
-def _digest(items) -> str:
-    h = hashlib.sha256()
+def _update(h, items):
+    """Feed each (name, array) of `items` to the hash `h`; returns `h`."""
     for name, arr in items:
         arr = np.ascontiguousarray(arr)
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
-    return h.hexdigest()
+    return h
+
+
+def _digest(items) -> str:
+    return _update(hashlib.sha256(), items).hexdigest()
 
 
 class Run:
@@ -68,24 +72,26 @@ class Run:
         self.train = importlib.import_module(f"{package}.train")
         rng = np.random.default_rng(0)
         self.x = rng.standard_normal(shape).astype(np.float32)
-        self.y = (rng.random(shape[:1] + shape[2:]) < 0.2).astype(np.int64)
+        self.y = (rng.random(shape[:1] + shape[2:]) < 0.2).astype(np.uint8)
         self.net = arch.build(arch.paper_spec(kind, wavelet), seed=0)
         self.params = dict(self.net.named_parameters())
         self.cfg, self.state = self.train.TrainConfig(), self.train.TrainState()
 
     def step(self, training: bool, after_forward=None):
-        """Forward under a gradient tape, the weighted loss and `backward`,
-        which leaves the parameter gradients in `.grad`: returns (logits,
-        loss).  `after_forward()`, if given, runs between the loss and the
-        backward."""
+        """`fit`'s step on uint8 labels: forward under a gradient tape, the
+        weighted loss and `backward`, which leaves the parameter gradients
+        in `.grad`; returns the loss.  `after_forward(logits, loss)`, if
+        given, runs between the loss and the backward; as in `fit`, nothing
+        holds the logits through the backward."""
         self.net.zero_grad()
         with self.nn.GradientTape() as tape:
             logits = self.net.forward(self.x, training=training)
             loss = self.train.weighted_cross_entropy(logits, self.y, self.cfg.class_weights)
         if after_forward is not None:
-            after_forward()
+            after_forward(logits, loss)
+        del logits
         self.nn.backward(tape, loss, parameters=self.params.values())
-        return logits, loss
+        return loss
 
     def update(self):
         """The momentum-SGD update from the last step's gradients."""
@@ -99,11 +105,12 @@ def digest_config(kind: str, wavelet: str | None, shape=SHAPE) -> dict[str, str]
     for phase, training, forward in (("train", True, "forward_trained"),
                                      ("eval", False, "forward")):
         for k in (1, 2):
-            logits, loss = run.step(training)
-            out[f"{phase}{k}"] = _digest(
-                [("loss", loss.data), ("logits", logits.data)]
-                + [(f"grad:{p}", t.grad) for p, t in run.params.items()]
-                + [(f"buffer:{p}", b) for p, b in run.net.named_buffers()])
+            h = hashlib.sha256()
+            run.step(training, lambda logits, loss: _update(
+                h, [("loss", loss.data), ("logits", logits.data)]))
+            out[f"{phase}{k}"] = _update(
+                h, [(f"grad:{p}", t.grad) for p, t in run.params.items()]
+                + [(f"buffer:{p}", b) for p, b in run.net.named_buffers()]).hexdigest()
             run.update()
         out[forward] = _digest([("logits", run.net.forward(run.x, training=False).data)])
     return out

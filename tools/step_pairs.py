@@ -18,10 +18,11 @@ separate runs cannot:
 The faults are the process's minor page faults (`resource.getrusage`)
 around each step, that is, fresh pages the step touched.  They depend on
 what the heap holds between steps: like `fit`'s loop, each tree keeps
-its last logits and loss until its next step.  After the timed pairs
-each tree runs one more, untimed step under `tracemalloc`.  What it holds
-once the forward and the loss have run, the tape's saved arrays and the
-logits, and its peak (numpy's buffers included, what the heap held
+its last loss until its next step.  After the timed pairs each tree runs
+one more, untimed step under `tracemalloc`.  What it holds once the
+forward and the loss have run, the tape's saved arrays and the logits
+(which the step then drops, as `fit` does, before `backward`), and its
+peak (numpy's buffers included, what the heap held
 before the step not) are per-step memory figures that repeat exactly
 from run to run.  The last line says whether both trees computed bitwise
 the same losses.
@@ -75,12 +76,12 @@ class TimedRun(Run):
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         with self.blas.one_blas_thread():
-            logits, loss = self.step(True, after_forward)
+            loss = self.step(True, after_forward)
             self.update()
         seconds = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        # kept until the next step replaces them, as in `fit`'s loop
-        self.kept = logits, loss
+        # kept until the next step replaces it, as in `fit`'s loop
+        self.kept = loss
         return seconds, faults, float(loss.data)
 
     def traced_mib(self) -> tuple[float, float]:
@@ -89,7 +90,7 @@ class TimedRun(Run):
         held = []
         tracemalloc.start()
         try:
-            self.timed_step(lambda: held.append(tracemalloc.get_traced_memory()[0]))
+            self.timed_step(lambda *_: held.append(tracemalloc.get_traced_memory()[0]))
             return held[0] / 2**20, tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
