@@ -23,17 +23,22 @@ class CubeRecord:
     origin: tuple[int, int, int]
 
 
-def pad_to_multiple(volume: np.ndarray, cube_shape) -> np.ndarray:
-    """Zero-pad at the high end so every extent is a cube-shape multiple."""
+def _padded_extents(shape, cube_shape) -> tuple:
+    """`shape` with each extent rounded up to a multiple of the cube's."""
+    if len(cube_shape) != len(shape):
+        raise ValueError(f"cube shape {tuple(cube_shape)} does not fit a {len(shape)}D volume")
     if any(cube <= 0 for cube in cube_shape):
         raise ValueError(f"cube extents must be positive, got {tuple(cube_shape)}")
-    pads = []
-    for ext, cube in zip(volume.shape, cube_shape):
-        target = ((ext + cube - 1) // cube) * cube
-        pads.append((0, target - ext))
-    if all(p == (0, 0) for p in pads):
-        return volume
-    return np.pad(volume, pads)
+    return tuple(-(-ext // cube) * cube for ext, cube in zip(shape, cube_shape))
+
+
+def _cut(volume: np.ndarray, origin, cube_shape) -> np.ndarray:
+    """The cube of `volume` at `origin`: a view where the cube lies inside
+    the volume, else a copy zero-padded at the high edge."""
+    cube = volume[tuple(slice(o, o + c) for o, c in zip(origin, cube_shape))]
+    if cube.shape == tuple(cube_shape):
+        return cube
+    return np.pad(cube, [(0, c - e) for c, e in zip(cube_shape, cube.shape)])
 
 
 def cut_cubes(image: np.ndarray, labels: np.ndarray, cube_shape=DEFAULT_CUBE_SHAPE,
@@ -46,28 +51,21 @@ def cut_cubes(image: np.ndarray, labels: np.ndarray, cube_shape=DEFAULT_CUBE_SHA
     achieved (shorter) list is returned and the shortfall is logged.
     """
     check_same_shape(image, labels, "image and labels")
-    image = pad_to_multiple(image, cube_shape)
-    labels = pad_to_multiple(labels, cube_shape)
-    cd, cm, cn = cube_shape
-    d, m, n = image.shape
-    if cd > d or cm > m or cn > n:
-        raise ValueError(f"cube shape {cube_shape} exceeds padded volume {image.shape}")
+    padded = _padded_extents(image.shape, cube_shape)
+    if any(c > p for c, p in zip(cube_shape, padded)):
+        raise ValueError(f"cube shape {cube_shape} exceeds padded volume {padded}")
 
     rng = np.random.default_rng(seed)
-    cube_voxels = cd * cm * cn
     records: list[CubeRecord] = []
     budget = count * _RETRY_FACTOR
     attempts = 0
     while len(records) < count and attempts < budget:
         attempts += 1
-        oz = int(rng.integers(0, d - cd + 1))
-        oy = int(rng.integers(0, m - cm + 1))
-        ox = int(rng.integers(0, n - cn + 1))
-        lbl = labels[oz:oz + cd, oy:oy + cm, ox:ox + cn]
-        if np.count_nonzero(lbl) / cube_voxels < min_foreground:
+        origin = tuple(int(rng.integers(0, p - c + 1)) for p, c in zip(padded, cube_shape))
+        lbl = _cut(labels, origin, cube_shape)
+        if np.count_nonzero(lbl) / lbl.size < min_foreground:
             continue
-        img = image[oz:oz + cd, oy:oy + cm, ox:ox + cn]
-        records.append(CubeRecord(img.copy(), lbl.copy(), (oz, oy, ox)))
+        records.append(CubeRecord(_cut(image, origin, cube_shape).copy(), lbl.copy(), origin))
     if len(records) < count:
         log.warning("cut_cubes: achieved %d of %d cubes after %d attempts "
                     "(min_foreground=%g)", len(records), count, attempts, min_foreground)

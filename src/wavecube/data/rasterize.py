@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..validation import check_scale
-from .swc import SwcMorphology
+from .swc import SwcMorphology, _geometry_problem
 
 
 def _mark_capsule(vol: np.ndarray, p0, r0: float, p1, r1: float) -> None:
@@ -55,20 +55,21 @@ def _mark_sphere(vol: np.ndarray, p, r: float) -> None:
 def rasterize(m: SwcMorphology, extents: tuple[int, int, int],
               scale: tuple[float, float, float] | None = None) -> np.ndarray:
     """Render a morphology to a binary uint8 volume of the given (d, m, n);
-    `scale`, if given, holds the voxel sizes (sz, sy, sx), see `check_scale`."""
+    `scale`, if given, holds the voxel sizes (sz, sy, sx), see `check_scale`.
+    A node that `parse_swc` would reject raises `ValueError` naming its id."""
     d, mm, n = extents
     if d <= 0 or mm <= 0 or n <= 0:
         raise ValueError(f"extents must be positive, got {extents}")
-    out = np.zeros((d, mm, n), dtype=bool)
-    if scale is None:
-        to_voxel = lambda node: (node.z, node.y, node.x)
-        r_of = lambda node: node.radius
-    else:
+    for node in m.nodes:
+        if problem := _geometry_problem(node):
+            raise ValueError(f"node {node.id}: {problem}")
+    if scale is not None:
         check_scale(scale)
-        sz, sy, sx = scale
-        mean_scale = (sz + sy + sx) / 3.0
-        to_voxel = lambda node: (node.z / sz, node.y / sy, node.x / sx)
-        r_of = lambda node: node.radius / mean_scale
+    sz, sy, sx = (1.0, 1.0, 1.0) if scale is None else scale
+    mean_scale = (sz + sy + sx) / 3.0
+    to_voxel = lambda node: (node.z / sz, node.y / sy, node.x / sx)
+    r_of = lambda node: node.radius / mean_scale
+    out = np.zeros((d, mm, n), dtype=bool)
 
     children = m.children_count()
     for parent, child in m.segments():

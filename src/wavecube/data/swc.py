@@ -71,6 +71,13 @@ class SwcMorphology:
         return [(self.by_id[n.parent_id], n) for n in self.nodes if n.parent_id != -1]
 
 
+def _geometry_problem(node: SwcNode) -> str | None:
+    """Why `node` cannot be drawn (coordinates and radius finite, radius > 0)."""
+    if not all(map(math.isfinite, (node.x, node.y, node.z, node.radius))):
+        return "coordinates and radius must be finite"
+    return f"radius must be > 0, got {node.radius}" if node.radius <= 0 else None
+
+
 def parse_swc(text: str) -> SwcMorphology:
     """Parse SWC text: '#' comments and 7-field records
     (id type x y z radius parent), with finite coordinates and a finite
@@ -96,10 +103,8 @@ def parse_swc(text: str) -> SwcMorphology:
             )
         except ValueError as exc:
             raise SwcFormatError(f"line {lineno}: {exc}: {raw!r}") from None
-        if not all(map(math.isfinite, (node.x, node.y, node.z, node.radius))):
-            raise SwcFormatError(f"line {lineno}: coordinates and radius must be finite: {raw!r}")
-        if node.radius <= 0:
-            raise SwcFormatError(f"line {lineno}: radius must be > 0, got {node.radius}: {raw!r}")
+        if problem := _geometry_problem(node):
+            raise SwcFormatError(f"line {lineno}: {problem}: {raw!r}")
         nodes.append(node)
     return SwcMorphology(nodes)
 

@@ -7,8 +7,8 @@ payload in z-y-x row-major order.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -25,32 +25,27 @@ def write_volume(path, volume: np.ndarray) -> None:
     arr = np.asarray(volume)
     if arr.ndim != 3:
         raise ValueError(f"volume must be 3D, got shape {arr.shape}")
-    if arr.dtype == np.uint8:
-        out = np.ascontiguousarray(arr)
-        code = 1
-    else:
-        out = np.ascontiguousarray(arr, dtype="<f4")
-        code = 0
+    code = 1 if arr.dtype == np.uint8 else 0
     d, m, n = arr.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, code, d, m, n))
-        fh.write(out.tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
 
 
 def read_volume(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size or data[:4] != _MAGIC:
-        raise BadMagicError(f"{path}: not an NVOL volume")
-    magic, version, code, d, m, n = _HEADER.unpack_from(data)
-    if version != _VERSION:
-        raise BadMagicError(f"{path}: unsupported NVOL version {version}")
-    if code not in _DTYPE_CODES:
-        raise BadMagicError(f"{path}: unknown dtype code {code}")
-    dtype = _DTYPE_CODES[code]
-    expected = d * m * n * dtype.itemsize
-    payload = data[_HEADER.size:]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: header declares {expected} payload bytes, found {len(payload)}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(d, m, n)
-    return arr.copy()
+    """An NVOL volume, its header checked against the file size first."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:4] != _MAGIC:
+            raise BadMagicError(f"{path}: not an NVOL volume")
+        magic, version, code, d, m, n = _HEADER.unpack(header)
+        if version != _VERSION:
+            raise BadMagicError(f"{path}: unsupported NVOL version {version}")
+        if code not in _DTYPE_CODES:
+            raise BadMagicError(f"{path}: unknown dtype code {code}")
+        expected = d * m * n * _DTYPE_CODES[code].itemsize
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != expected:
+            raise TruncatedPayloadError(
+                f"{path}: header declares {expected} payload bytes, found {found}")
+        return np.fromfile(fh, _DTYPE_CODES[code], d * m * n).reshape(d, m, n)

@@ -1,20 +1,22 @@
 """Whole-volume inference: partition into cubes, segment, assemble, score.
 
-Tiling is deterministic: zero-pad the volume at the high end to cube-shape
-multiples, emit non-overlapping cubes in z-major origin order; assembly is
-origin-keyed, so cube processing order (or worker count) never changes the
-output.
+Tiling is deterministic: non-overlapping cubes in z-major origin order cover
+the extents rounded up to cube-shape multiples.  A cube is a view of the
+volume, or a zero-padded copy where it reaches past the high edge; results are
+written origin-keyed into an output of the volume's extents, so no stage copies
+the whole volume and the worker count never changes the output.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from ._blas import one_blas_thread
-from .data.cubes import pad_to_multiple
+from .data.cubes import _cut, _padded_extents
 from .errors import ShapeMismatchError
 from .nn.functional import first_max
 from .validation import as_volume, check_same_shape
@@ -40,62 +42,55 @@ def _is_count(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
-def partition(volume: np.ndarray, cube_shape=(32, 128, 128)):
-    """Tile a volume; returns (CubeGrid, list of (origin, cube))."""
+def _grid(extents, cube_shape) -> CubeGrid:
+    """The grid of `cube_shape` cubes that covers a volume of `extents`."""
     if len(cube_shape) != 3 or not all(_is_count(c) and c > 0 for c in cube_shape):
         raise ValueError(f"cube_shape must be 3 positive integer extents (z, y, x), "
                          f"got {cube_shape!r}")
     if any(c % 16 != 0 for c in cube_shape):
         raise ValueError(f"cube shape {cube_shape} must be divisible by 16 per axis")
-    padded = pad_to_multiple(volume, cube_shape)
-    cd, cm, cn = cube_shape
-    origins = tuple(
-        (z, y, x)
-        for z in range(0, padded.shape[0], cd)
-        for y in range(0, padded.shape[1], cm)
-        for x in range(0, padded.shape[2], cn)
-    )
-    grid = CubeGrid(volume.shape, padded.shape, tuple(cube_shape), origins)
-    cubes = [
-        (o, padded[o[0]:o[0] + cd, o[1]:o[1] + cm, o[2]:o[2] + cn].copy())
-        for o in origins
-    ]
-    return grid, cubes
+    padded = _padded_extents(extents, cube_shape)
+    origins = tuple(product(*(range(0, p, c) for p, c in zip(padded, cube_shape))))
+    return CubeGrid(tuple(extents), padded, tuple(cube_shape), origins)
+
+
+def partition(volume: np.ndarray, cube_shape=(32, 128, 128)):
+    """Tile a volume; returns (CubeGrid, list of (origin, cube)), where an
+    interior cube is a view of `volume` and an edge cube a zero-padded copy."""
+    grid = _grid(volume.shape, cube_shape)
+    return grid, [(o, _cut(volume, o, grid.cube_shape)) for o in grid.origins]
+
+
+def _write(out: np.ndarray, grid: CubeGrid, pending: set, origin, cube: np.ndarray) -> None:
+    """Write the grid cube at `origin` into `out` (the volume's extents),
+    cropped to them; `origin` leaves `pending`, the origins not written yet."""
+    origin = tuple(origin)
+    if origin not in pending:
+        what = "duplicate cube" if origin in grid.origins else "no grid cube"
+        raise ShapeMismatchError(f"{what} for origin {origin}")
+    if cube.shape != grid.cube_shape:
+        raise ShapeMismatchError(
+            f"cube at {origin} has shape {cube.shape}, not the grid cube {grid.cube_shape}")
+    pending.remove(origin)
+    region = out[tuple(slice(o, o + c) for o, c in zip(origin, grid.cube_shape))]
+    np.copyto(region, cube[tuple(slice(0, e) for e in region.shape)], casting="safe")
 
 
 def assemble(grid: CubeGrid, cubes) -> np.ndarray:
     """Inverse of partition: place cubes by origin, crop the padding.
 
     `cubes` is an iterable of (origin, array) in any order, or a mapping
-    origin -> array; exactly one cube per grid origin is required.
-    """
-    items = cubes.items() if isinstance(cubes, dict) else list(cubes)
-    by_origin = {}
-    for origin, cube in items:
-        origin = tuple(origin)
-        if origin in by_origin:
-            raise ShapeMismatchError(f"duplicate cube for origin {origin}")
-        by_origin[origin] = np.asarray(cube)
-    known = set(grid.origins)
-    missing = [o for o in grid.origins if o not in by_origin]
-    extra = [o for o in by_origin if o not in known]
-    if missing or extra:
-        raise ShapeMismatchError(
-            f"cube set does not match grid (missing {missing[:3]}, extra {extra[:3]})")
-
-    sample = by_origin[grid.origins[0]]
-    if sample.shape != grid.cube_shape:
-        raise ShapeMismatchError(
-            f"cube shape {sample.shape} does not match grid cube {grid.cube_shape}")
-    out = np.zeros(grid.padded_extents, dtype=sample.dtype)
-    cd, cm, cn = grid.cube_shape
-    for o in grid.origins:
-        cube = by_origin[o]
-        if cube.shape != grid.cube_shape:
-            raise ShapeMismatchError(f"cube at {o} has shape {cube.shape}")
-        out[o[0]:o[0] + cd, o[1]:o[1] + cm, o[2]:o[2] + cn] = cube
-    d, m, n = grid.original_extents
-    return out[:d, :m, :n]
+    origin -> array; exactly one cube per grid origin is required.  The
+    output takes the first cube's dtype."""
+    out, pending = None, set(grid.origins)
+    for origin, cube in cubes.items() if isinstance(cubes, dict) else cubes:
+        cube = np.asarray(cube)
+        if out is None:
+            out = np.zeros(grid.original_extents, dtype=cube.dtype)
+        _write(out, grid, pending, origin, cube)
+    if pending or out is None:  # a grid without cubes has no output dtype
+        raise ShapeMismatchError(f"cube set does not match grid (missing {sorted(pending)[:3]})")
+    return out
 
 
 def _at_origin(exc: Exception, origin) -> Exception:
@@ -118,17 +113,21 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
     The volume must be 3D and finite (`as_volume`).  Argmax ties resolve to
     the lower class index (background).  Cubes run on `workers` (>= 1) pool
     threads, never on the caller's tape, and are independent, so any worker
-    count produces bitwise-identical output; each worker also takes its
-    cube's labels, and keeps the logits only with `retain_logits`.  Cube
-    forwards run with numpy's OpenBLAS on one thread; the caller's thread
-    count is restored on return, also when a cube raises.
-    """
+    count produces bitwise-identical output; each worker cuts its cube and
+    writes its uint8 labels (up to 256 classes) into its own window of the
+    one output, so no lock is needed and the memory above the volume is the
+    labels and a cube forward per worker, plus the logits with
+    `retain_logits`.  Cube forwards run with numpy's OpenBLAS on one thread;
+    the caller's thread count is restored on return, also when a cube raises."""
     if not (_is_count(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    grid, cubes = partition(as_volume(volume).astype(np.float32, copy=False), cube_shape)
+    volume = as_volume(volume)
+    grid = _grid(volume.shape, cube_shape)
+    labels = np.zeros(volume.shape, dtype=np.uint8)
+    pending = set(grid.origins)
 
-    def run(item):
-        origin, cube = item
+    def run(origin):
+        cube = _cut(volume, origin, grid.cube_shape).astype(np.float32, copy=False)
         try:
             logits = network.forward(cube[None, None], training=False).data[0]
         except Exception as exc:
@@ -136,21 +135,16 @@ def segment_volume(volume: np.ndarray, network, cube_shape=(32, 128, 128),
             if located is exc:
                 raise
             raise located from exc
-        return origin, first_max(logits), logits if retain_logits else None
+        _write(labels, grid, pending, origin, first_max(logits))
+        return logits if retain_logits else None
 
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, cubes))
+        logits = list(pool.map(run, grid.origins))
 
-    labels = assemble(grid, [(o, lab) for o, lab, _ in results])
-    prov = {
-        "arch": network.spec.dual_structure,
-        "wavelet": network.spec.wavelet or "none",
-        "cube_shape": tuple(cube_shape),
-        "workers": workers,
-        "blas_threads": blas_threads,
-    }
-    logits_map = {o: lg for o, _, lg in results} if retain_logits else None
-    return SegmentationResult(labels, prov, logits_map)
+    prov = {"arch": network.spec.dual_structure, "wavelet": network.spec.wavelet or "none",
+            "cube_shape": grid.cube_shape, "workers": workers, "blas_threads": blas_threads}
+    return SegmentationResult(labels, prov,
+                              dict(zip(grid.origins, logits)) if retain_logits else None)
 
 
 def iou_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -175,9 +175,16 @@ def _as_pair(item):
 
 def _label_array(label) -> np.ndarray:
     """A label cube as the loss reads it: integer labels as they are, any
-    other dtype (bool, float) converted to int64."""
+    other dtype (bool, float) converted to int64, which would truncate a
+    label that is not integer-valued (a fraction, NaN or inf): ValueError."""
     label = np.asarray(label)
-    return label if label.dtype.kind in "iu" else label.astype(np.int64)
+    if label.dtype.kind in "iu":
+        return label
+    with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+        out = label.astype(np.int64)
+    if label.dtype != bool and not np.array_equal(out, label):
+        raise ValueError(f"labels must be integer-valued, got non-integer {label.dtype} labels")
+    return out
 
 
 def argmax_batches(network: Network, images, batch_size: int):

@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from wavecube.data import (
     SwcNode,
     cut_cubes,
     generate_phantom,
-    pad_to_multiple,
     parse_swc,
     rasterize,
     read_volume,
     serialize_swc,
     write_volume,
 )
+from wavecube.data.cubes import _RETRY_FACTOR
 from wavecube.errors import (
     BadMagicError,
     CycleError,
@@ -27,6 +29,7 @@ from wavecube.errors import (
     SwcFormatError,
     TruncatedPayloadError,
 )
+from wavecube.pipeline import partition
 
 rng = np.random.default_rng(17)
 
@@ -68,6 +71,23 @@ def test_volume_truncated(tmp_path):
     path.write_bytes(raw + b"\x00\x00")
     with pytest.raises(TruncatedPayloadError):
         read_volume(path)
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+def test_volume_read_holds_the_payload_once(tmp_path):
+    # the payload is read straight into the array: no copy of the file's
+    # bytes, nor of the payload sliced from them, is held beside it
+    v = rng.standard_normal((16, 128, 128)).astype(np.float32)
+    path = tmp_path / "big.nvol"
+    write_volume(path, v)
+    tracemalloc.start()
+    try:
+        back = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == v.tobytes()
+    assert peak <= 1.1 * v.nbytes, peak / v.nbytes
 
 
 # -- SWC parsing -----------------------------------------------------------------
@@ -183,19 +203,99 @@ def test_rasterize_rejects_a_scale_that_is_not_finite_and_positive(bad):
         rasterize(m, (8, 32, 32), scale=(1.0, bad, 1.0))
 
 
+@pytest.mark.parametrize("node, problem", [
+    (SwcNode(3, 2, math.nan, 4.0, 4.0, 1.0, -1), "coordinates and radius must be finite"),
+    (SwcNode(3, 2, 4.0, 4.0, math.inf, 1.0, -1), "coordinates and radius must be finite"),
+    (SwcNode(3, 2, 4.0, 4.0, 4.0, -1.0, -1), "radius must be > 0"),
+    (SwcNode(3, 2, 4.0, 4.0, 4.0, 0.0, -1), "radius must be > 0"),
+])
+def test_rasterize_rejects_a_node_that_parse_swc_would(node, problem):
+    # a NaN coordinate used to fail inside numpy, and a negative radius drew
+    # an all-zero volume without a word
+    root = SwcNode(1, 1, 2.0, 2.0, 2.0, 1.0, -1)
+    node = SwcNode(node.id, node.type_code, node.x, node.y, node.z, node.radius, 1)
+    with pytest.raises(ValueError, match=rf"^node 3: {re.escape(problem)}"):
+        rasterize(SwcMorphology([root, node]), (8, 8, 8))
+    with pytest.raises(SwcFormatError, match=re.escape(problem)):
+        parse_swc(serialize_swc(SwcMorphology([root, node])))
+
+
 # -- cube cutting -----------------------------------------------------------------
 
-def test_pad_to_multiple():
+def test_cut_pads_the_high_edge_with_zeros():
     v = np.ones((40, 130, 128))
-    padded = pad_to_multiple(v, (32, 128, 128))
-    assert padded.shape == (64, 256, 128)
-    assert padded[:40, :130, :].sum() == v.sum()
+    grid, cubes = partition(v, (32, 128, 128))
+    assert grid.padded_extents == (64, 256, 128)
+    cube = dict(cubes)[(32, 128, 0)]
+    assert cube.shape == (32, 128, 128)
+    assert cube[:8, :2].sum() == 8 * 2 * 128 and cube.sum() == 8 * 2 * 128
+    assert sum(c.sum() for _, c in cubes) == v.sum()
+    recs = cut_cubes(v, v.astype(np.uint8), (32, 128, 128), count=4, seed=1, min_foreground=0.0)
+    for r in recs:
+        inside = [min(e - o, c) for e, o, c in zip(v.shape, r.origin, (32, 128, 128))]
+        assert r.image.shape == r.label.shape == (32, 128, 128)
+        assert r.image.sum() == r.label.sum() == math.prod(inside), r.origin
 
 
 @pytest.mark.parametrize("cube_shape", [(0, 128, 128), (-16, 32, 32)])
-def test_pad_to_multiple_rejects_non_positive_extents(cube_shape):
+def test_cut_rejects_non_positive_extents(cube_shape):
     with pytest.raises(ValueError, match="cube extents must be positive"):
-        pad_to_multiple(np.ones((40, 130, 128)), cube_shape)
+        cut_cubes(np.ones((40, 130, 128)), np.ones((40, 130, 128)), cube_shape)
+
+
+@pytest.mark.parametrize("cube_shape", [(8, 16), (8, 16, 16, 4)])
+def test_cut_rejects_a_cube_shape_of_another_rank(cube_shape):
+    with pytest.raises(ValueError, match="does not fit a 3D volume"):
+        cut_cubes(np.ones((20, 40, 40)), np.ones((20, 40, 40)), cube_shape)
+
+
+def _reference_cut_cubes(image, labels, cube_shape, count, seed, min_foreground):
+    """`cut_cubes` as it was built on whole padded copies of both volumes."""
+    pads = [(0, -(-e // c) * c - e) for e, c in zip(image.shape, cube_shape)]
+    image, labels = np.pad(image, pads), np.pad(labels, pads)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count * _RETRY_FACTOR):
+        if len(out) == count:
+            break
+        o = tuple(int(rng.integers(0, e - c + 1)) for e, c in zip(image.shape, cube_shape))
+        window = tuple(slice(a, a + c) for a, c in zip(o, cube_shape))
+        if np.count_nonzero(labels[window]) / math.prod(cube_shape) >= min_foreground:
+            out.append((o, image[window], labels[window]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cut_cubes_equal_cutting_a_padded_copy(seed):
+    local = np.random.default_rng(seed)
+    extents = tuple(int(e) for e in local.integers(9, 40, 3))
+    img = local.standard_normal(extents).astype(np.float32)
+    lbl = (local.random(extents) < 0.2).astype(np.uint8)
+    got = cut_cubes(img, lbl, (8, 16, 16), count=6, seed=seed, min_foreground=0.1)
+    want = _reference_cut_cubes(img, lbl, (8, 16, 16), 6, seed, 0.1)
+    assert len(got) == len(want) > 0
+    # some cube reaches past the high edge, where the padding is cut
+    assert any(o + c > e for r in got for o, c, e in zip(r.origin, (8, 16, 16), extents))
+    for r, (origin, image, label) in zip(got, want):
+        assert r.origin == origin
+        assert r.image.dtype == image.dtype and r.image.tobytes() == image.tobytes()
+        assert r.label.dtype == label.dtype and r.label.tobytes() == label.tobytes()
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+def test_cut_cubes_never_pads_a_whole_volume():
+    # a 40 x 130 x 130 volume pads to 64 x 256 x 256; cutting reads only the
+    # cubes it draws, so its peak is the records plus a cube or two
+    img = np.ones((40, 130, 130), dtype=np.float32)
+    lbl = np.ones(img.shape, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        recs = cut_cubes(img, lbl, (32, 128, 128), count=2, seed=0, min_foreground=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(r.image.nbytes + r.label.nbytes for r in recs)
+    assert peak < kept + 2 * 32 * 128 * 128 * 5, (peak, kept)
 
 
 def test_cut_exact_size_volume_origin_zero():

@@ -1,4 +1,6 @@
+import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,19 @@ def test_partition_exact_cube_no_padding():
     grid, cubes = partition(np.zeros((32, 128, 128), dtype=np.float32), (32, 128, 128))
     assert grid.padded_extents == (32, 128, 128)
     assert len(cubes) == 1
+
+
+def test_partition_views_interior_cubes_and_copies_edge_cubes():
+    vol = rng.random((40, 64, 50)).astype(np.float32)
+    grid, cubes = partition(vol, (16, 32, 32))
+    for origin, cube in cubes:
+        interior = all(o + c <= e for o, c, e in zip(origin, grid.cube_shape, vol.shape))
+        assert np.shares_memory(cube, vol) == interior, origin
+        window = vol[origin[0]:origin[0] + 16, origin[1]:origin[1] + 32,
+                     origin[2]:origin[2] + 32]
+        zero_padded = np.pad(window, [(0, c - w) for c, w in zip(cube.shape, window.shape)])
+        assert cube.shape == grid.cube_shape and cube.tobytes() == zero_padded.tobytes()
+    assert sum(np.shares_memory(c, vol) for _, c in cubes) == 2 * 2 * 1
 
 
 def test_partition_rejects_bad_cube_shape():
@@ -108,6 +123,23 @@ def test_segment_worker_count_invariance():
     assert a.labels.tobytes() == b.labels.tobytes()
 
 
+def test_segment_workers_share_one_output_under_frequent_thread_switches():
+    # 4 workers on 2 cores write 60 cubes into one label array and one set
+    # of pending origins; a lost or doubled write changes the labels
+    net = build(paper_spec("PU"), seed=2)
+    net.head.weight.data[...] = np.random.default_rng(1).standard_normal(
+        net.head.weight.data.shape).astype(np.float32)
+    vol = rng.random((40, 60, 70)).astype(np.float32)
+    want = segment_volume(vol, net, (16, 16, 16), workers=1).labels
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = segment_volume(vol, net, (16, 16, 16), workers=4).labels
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < want.sum() < want.size and got.tobytes() == want.tobytes()
+
+
 def test_segment_padding_neutrality():
     # a zero-biased network maps zero padding to background, so appending
     # explicit zero slabs then cropping equals segmenting the original
@@ -121,6 +153,32 @@ def test_segment_padding_neutrality():
     padded[:16, :32, :32] = vol
     via_pad = segment_volume(padded, net, (16, 32, 32)).labels[:16, :32, :32]
     assert np.array_equal(direct, via_pad)
+
+
+def _traced_peak(fn) -> int:
+    """tracemalloc's peak of `fn()` above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_segment_holds_the_labels_and_one_cube_forward_per_worker(workers):
+    # no copy of the volume, list of cubes or list of cube labels is held:
+    # each worker cuts its cube and writes its labels into the one output
+    net = build(paper_spec("PU"), seed=2)
+    vol = np.random.default_rng(2).random((64, 128, 128)).astype(np.float32)
+    cube = np.ascontiguousarray(vol[:16, :32, :32])
+    net.forward(cube[None, None], training=False)  # warm-up
+    forward = _traced_peak(lambda: net.forward(cube[None, None], training=False))
+    peak = _traced_peak(lambda: segment_volume(vol, net, (16, 32, 32), workers=workers))
+    bound = vol.size + workers * 1.25 * forward  # uint8 labels
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_segment_retains_logits_when_asked():

@@ -278,6 +278,23 @@ def test_fit_nonfinite_loss_raises_before_backward():
     assert math.isnan(err.value.value)
 
 
+def test_fit_rejects_labels_that_are_not_integer_valued():
+    # 0.7 used to truncate to background without a word
+    ds = _clean_phantoms(2)
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0, val_fraction=0.0)
+    image, label = ds[0]
+    for bad in (0.7, 1.5, math.inf):
+        with pytest.raises(ValueError, match="integer-valued"):
+            fit(paper_spec("PU"), [(image, np.where(label, bad, 0.0)), ds[1]], cfg)
+    # integer-valued float labels and bool labels train as uint8 labels do
+    states = [fit(paper_spec("PU"), [(img, convert(lbl)) for img, lbl in ds], cfg)
+              .network.state_dict()
+              for convert in (np.asarray, lambda a: a.astype(np.float32),
+                              lambda a: a.astype(bool))]
+    for other in states[1:]:
+        assert all(states[0][k].tobytes() == other[k].tobytes() for k in states[0])
+
+
 @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
 def test_train_config_rejects_val_fraction_outside_unit_interval(fraction):
     # -0.5 would hold out half the cubes (order[:-n]); 1.0 would hold out all

@@ -1,5 +1,5 @@
-"""Print sha256 digests of what nine network configurations compute, as one
-JSON object.
+"""Print sha256 digests of what nine network configurations compute, and of
+the labels `segment_volume` gives, as one JSON object.
 
 Eight configurations run on one seeded 2x1x16x32x32 batch, and DIDn(haar)
 runs once more on the 4x1x16x64x64 desk batch: there, from level 1 down,
@@ -14,8 +14,11 @@ gradient, every BN running buffer and the logits; a forward's digest
 covers its logits.  A change to the arithmetic of eval under a tape moves
 `eval1`, `eval2` and, through the updated weights, `forward`; the
 tape-less eval path (BN folded into the convs) is checked apart from it by
-`forward_trained`.  Two source trees compute bitwise the same losses,
-gradients, buffers and logits when their outputs are equal:
+`forward_trained`.  The `segment` digests cover the labels of a seeded
+DIDn(haar) with a drawn head and BN, tiled over a volume whose extents are
+not cube multiples, at 1 and 2 workers.  Two source trees compute bitwise
+the same losses, gradients, buffers, logits and labels when their outputs
+are equal:
 
     python tools/digest_networks.py > change.json
     python tools/digest_networks.py --src ../parent/src > parent.json
@@ -45,6 +48,7 @@ CONFIGS = (("PU", None), ("PDc", None), ("ScIn", None), ("DDc", "haar"), ("DI", 
 SHAPE = (2, 1, 16, 32, 32)
 DESK = ("DIDn", "haar", (4, 1, 16, 64, 64))
 LR = 0.01
+SEGMENT = ((40, 150, 130), (32, 64, 64))  # volume extents, cube shape
 
 
 def _update(h, items):
@@ -116,6 +120,33 @@ def digest_config(kind: str, wavelet: str | None, shape=SHAPE) -> dict[str, str]
     return out
 
 
+def digest_segment() -> dict[str, str]:
+    """Digests of `segment_volume`'s labels at 1 and 2 workers, for a
+    DIDn(haar) whose head and BN parameters and buffers are drawn: as built,
+    the head is zero and BN the identity in eval mode."""
+    arch = importlib.import_module("wavecube.arch")
+    pipeline = importlib.import_module("wavecube.pipeline")
+    extents, cube_shape = SEGMENT
+    net = arch.build(arch.paper_spec("DIDn", "haar"), seed=0)
+    state = dict(net.state_dict())
+    rng = np.random.default_rng(0)
+    for key in sorted(state):
+        kind = key.rsplit(".", 1)[-1]
+        if key == "head.weight":
+            sample = rng.standard_normal(state[key].shape)
+        elif kind in ("gamma", "running_var"):
+            sample = rng.uniform(0.5, 1.5, state[key].shape)
+        elif kind in ("beta", "running_mean"):
+            sample = rng.normal(0.0, 0.1, state[key].shape)
+        else:
+            continue
+        state[key] = sample.astype(state[key].dtype)
+    net.load_state_dict(state)
+    volume = rng.random(extents).astype(np.float32)
+    return {f"workers{w}": _digest([("labels", pipeline.segment_volume(
+                volume, net, cube_shape, workers=w).labels)]) for w in (1, 2)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -126,6 +157,7 @@ def main(argv=None) -> int:
                for kind, wavelet in CONFIGS}
     kind, wavelet, shape = DESK
     digests[f"{kind}({wavelet})@{'x'.join(map(str, shape))}"] = digest_config(*DESK)
+    digests["segment"] = digest_segment()
     print(json.dumps(digests, indent=2))
     return 0
 
